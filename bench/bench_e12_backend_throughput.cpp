@@ -43,7 +43,7 @@ constexpr double kTimeScale = 0.01;  // 100x faster than nominal
 
 // Mailbox shard-scaling sweep. The cluster rows above are handler-bound —
 // a protocol event costs microseconds of engine work, a mailbox hop tens
-// of nanoseconds — so end-to-end rates cannot separate the two spines.
+// of nanoseconds — so end-to-end rates say little about the spine.
 // The sweep measures the spine itself in the regime the batching targets:
 // a closed-loop submit storm pumped straight into the shard schedulers
 // (kStormProducers driver threads, batches of kStormBatch, a bounded
@@ -144,8 +144,7 @@ std::string k_name(int k) { return k >= kN ? "N" : std::to_string(k); }
 // telemetry_overhead_pct headline metric reports.
 constexpr int64_t kHealthIntervalUs = 5'000;
 
-Row run_sweep_once(int k, int shards, MailboxPolicy policy,
-                   const std::string& health_out = "") {
+Row run_sweep_once(int k, int shards, const std::string& health_out = "") {
   ClusterConfig cfg;
   cfg.n = kSweepN;
   cfg.seed = 12;
@@ -155,7 +154,6 @@ Row run_sweep_once(int k, int shards, MailboxPolicy policy,
   ThreadedOptions opt;
   opt.shards = shards;
   opt.time_scale = kSweepTimeScale;
-  opt.mailbox = policy;
   HealthRegistry health;  // must outlive the cluster (cells + probes)
   std::unique_ptr<HealthTimeseriesSink> health_sink;
   if (!health_out.empty()) opt.health = &health;
@@ -184,9 +182,7 @@ Row run_sweep_once(int k, int shards, MailboxPolicy policy,
   // Closed-loop storm: each producer submits batches of no-op events
   // round-robin across shards, holding per-shard in-flight below
   // kStormWindow so the worker keeps draining hot, recycled nodes instead
-  // of chewing a cold backlog after the fact. The same window is enforced
-  // for both policies (bench-side, not via --mailbox-capacity, which only
-  // the batched spine honors), so the offered load is identical.
+  // of chewing a cold backlog after the fact.
   const int nshards = cluster.shards();
   // Per-shard storm accounting: each storm event bumps its shard's counter
   // when it runs, so the in-flight window tracks storm work only — the
@@ -258,20 +254,15 @@ Row run_sweep_once(int k, int shards, MailboxPolicy policy,
 // Best of kSweepReps: every rep's trace must audit green, the throughput
 // reported is the fastest rep (the box has one core, so a rep can lose a
 // third of its rate to unrelated OS scheduling).
-Row run_sweep(int k, int shards, MailboxPolicy policy,
-              const std::string& health_out = "") {
+Row run_sweep(int k, int shards) {
   Row best;
   for (int rep = 0; rep < kSweepReps; ++rep) {
-    Row r = run_sweep_once(k, shards, policy, health_out);
+    Row r = run_sweep_once(k, shards);
     if (r.verdict != "audit ok") return r;
     if (best.events == 0 || r.kevents_per_s() > best.kevents_per_s())
       best = r;
   }
   return best;
-}
-
-const char* policy_name(MailboxPolicy p) {
-  return p == MailboxPolicy::kBatched ? "batched" : "mutex";
 }
 
 }  // namespace
@@ -309,40 +300,32 @@ int main() {
   }
   t.print(std::cout, "events/sec by backend, shard count and K");
 
-  // Shard-scaling sweep: the same closed-loop submit storm through the
-  // batched two-level mailbox and through the pre-change mutex mailbox
-  // (kept as a runtime-selectable baseline), 1..8 shards, K in {2, N}.
-  // The wakeups / drains / max_batch columns are the mechanism: the
-  // batched spine coalesces a whole batch into one CAS splice and at most
-  // one futex wake, the mutex spine pays a lock round-trip and a notify
-  // per submitted event.
+  // Shard-scaling sweep: the closed-loop submit storm through the two-level
+  // mailbox at 1..8 shards, K in {2, N}. The wakeups / drains / max_batch
+  // columns are the mechanism: a whole batch enters with one CAS splice
+  // and at most one futex wake. The "mailbox" column labels the run
+  // ("batched", then the a/b and health rows below), so rows stay keyed
+  // as in earlier trends/ snapshots.
   std::cout << "\n";
   Table sweep({"mailbox", "shards", "K", "events", "wall_ms", "kev_per_s",
                "wakeups", "drains", "max_batch", "stalls", "verdict"});
   double batched_at_4 = 0.0;
-  double mutex_at_4 = 0.0;
   for (int k : {2, kSweepN}) {
     for (int shards : {1, 2, 4, 8}) {
-      for (MailboxPolicy policy :
-           {MailboxPolicy::kMutex, MailboxPolicy::kBatched}) {
-        Row r = run_sweep(k, shards, policy);
-        sweep.row()
-            .cell(policy_name(policy))
-            .cell(shards)
-            .cell(k >= kSweepN ? "N" : std::to_string(k))
-            .cell(static_cast<int64_t>(r.events))
-            .cell(r.wall_ms, 1)
-            .cell(r.kevents_per_s(), 1)
-            .cell(r.wakeups)
-            .cell(r.drains)
-            .cell(r.max_batch)
-            .cell(r.stalls)
-            .cell(r.verdict);
-        if (shards == 4 && k == 2) {
-          (policy == MailboxPolicy::kBatched ? batched_at_4 : mutex_at_4) =
-              r.kevents_per_s();
-        }
-      }
+      Row r = run_sweep(k, shards);
+      sweep.row()
+          .cell("batched")
+          .cell(shards)
+          .cell(k >= kSweepN ? "N" : std::to_string(k))
+          .cell(static_cast<int64_t>(r.events))
+          .cell(r.wall_ms, 1)
+          .cell(r.kevents_per_s(), 1)
+          .cell(r.wakeups)
+          .cell(r.drains)
+          .cell(r.max_batch)
+          .cell(r.stalls)
+          .cell(r.verdict);
+      if (shards == 4 && k == 2) batched_at_4 = r.kevents_per_s();
     }
   }
   // Telemetry overhead probe: the batched 4-shard K=2 storm with every
@@ -355,12 +338,11 @@ int main() {
   constexpr int kOverheadReps = 6;
   Row base_row, health_row;
   for (int rep = 0; rep < kOverheadReps; ++rep) {
-    Row b = run_sweep_once(2, 4, MailboxPolicy::kBatched);
+    Row b = run_sweep_once(2, 4);
     if (b.verdict == "audit ok" &&
         (base_row.events == 0 || b.kevents_per_s() > base_row.kevents_per_s()))
       base_row = b;
-    Row h = run_sweep_once(2, 4, MailboxPolicy::kBatched,
-                           "HEALTH_e12_storm.jsonl");
+    Row h = run_sweep_once(2, 4, "HEALTH_e12_storm.jsonl");
     if (h.verdict == "audit ok" &&
         (health_row.events == 0 ||
          h.kevents_per_s() > health_row.kevents_per_s()))
@@ -389,10 +371,8 @@ int main() {
                   ", window " + std::to_string(kStormWindow) +
                   ", live n=" + std::to_string(kSweepN) +
                   " cluster, best of " + std::to_string(kSweepReps) + ")");
-  double speedup = mutex_at_4 > 0.0 ? batched_at_4 / mutex_at_4 : 0.0;
-  std::cout << "batched vs mutex at 4 shards, K=2: " << batched_at_4
-            << " vs " << mutex_at_4 << " kev/s  (speedup x" << speedup
-            << ")\n";
+  std::cout << "batched storm at 4 shards, K=2: " << batched_at_4
+            << " kev/s\n";
   double base_at_4 = base_row.kevents_per_s();
   double health_at_4 = health_row.kevents_per_s();
   double overhead_pct =
@@ -419,8 +399,6 @@ int main() {
       .param("health_interval_us", static_cast<int64_t>(kHealthIntervalUs))
       .param("overhead_reps", static_cast<int64_t>(kOverheadReps));
   j.metric("batched_kev_per_s_4shard", batched_at_4);
-  j.metric("mutex_kev_per_s_4shard", mutex_at_4);
-  j.metric("batched_over_mutex_4shard", speedup);
   j.metric("base_kev_per_s_4shard", base_at_4);
   j.metric("health_kev_per_s_4shard", health_at_4);
   j.metric("telemetry_overhead_pct", overhead_pct);

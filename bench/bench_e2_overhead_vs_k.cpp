@@ -10,7 +10,6 @@
 #include <iostream>
 #include <vector>
 
-#include "baseline/pessimistic.h"
 #include "core/metrics.h"
 #include "scenario.h"
 
@@ -78,8 +77,9 @@ int main() {
            "risk_mean", "sync_wr/msg", "recv_wait_us", "makespan_ms"});
 
   std::vector<ProtocolConfig> configs;
-  configs.push_back(pessimistic_baseline());
-  for (int k : {0, 1, 2, 4, 6, kN}) configs.push_back(k_optimistic(k));
+  configs.push_back(ProtocolConfig::pessimistic());
+  for (int k : {0, 1, 2, 4, 6, kN})
+    configs.push_back(ProtocolConfig::k_optimistic(k));
 
   for (const ProtocolConfig& cfg : configs) {
     Agg a = run_config(cfg, kN, kSeeds);

@@ -11,7 +11,6 @@
 
 #include "analysis/causal_graph.h"
 #include "analysis/critical_path.h"
-#include "baseline/pessimistic.h"
 #include "core/metrics.h"
 #include "scenario.h"
 
@@ -31,8 +30,9 @@ int main() {
            "cp_settle_max_ms"});
 
   std::vector<ProtocolConfig> configs;
-  configs.push_back(pessimistic_baseline());
-  for (int k : {0, 1, 2, 4, kN}) configs.push_back(k_optimistic(k));
+  configs.push_back(ProtocolConfig::pessimistic());
+  for (int k : {0, 1, 2, 4, kN})
+    configs.push_back(ProtocolConfig::k_optimistic(k));
 
   for (const ProtocolConfig& cfg : configs) {
     int64_t rollbacks = 0, undone = 0, orphans = 0, replayed = 0;

@@ -9,7 +9,6 @@
 // full-TDV rows climb towards N everywhere.
 #include <iostream>
 
-#include "baseline/pessimistic.h"
 #include "core/metrics.h"
 #include "scenario.h"
 
@@ -19,7 +18,7 @@ using namespace koptlog::bench;
 namespace {
 
 ProtocolConfig fast_logging(bool thm2) {
-  ProtocolConfig cfg = thm2 ? ProtocolConfig{} : full_tdv_baseline();
+  ProtocolConfig cfg = thm2 ? ProtocolConfig{} : ProtocolConfig::full_tdv();
   cfg.flush_interval_us = 2'000;
   cfg.notify_interval_us = 4'000;
   return cfg;

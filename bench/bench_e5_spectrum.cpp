@@ -11,7 +11,6 @@
 #include <iostream>
 #include <vector>
 
-#include "baseline/pessimistic.h"
 #include "core/metrics.h"
 #include "scenario.h"
 
@@ -39,9 +38,9 @@ ScenarioResult run_one(ProtocolConfig cfg, SimTime sync_cost, int failures,
 }
 
 std::vector<std::pair<std::string, ProtocolConfig>> spectrum() {
-  return {{"pess", pessimistic_baseline()},
-          {"K=0", k_optimistic(0)},
-          {"K=2", k_optimistic(2)},
+  return {{"pess", ProtocolConfig::pessimistic()},
+          {"K=0", ProtocolConfig::k_optimistic(0)},
+          {"K=2", ProtocolConfig::k_optimistic(2)},
           {"K=N", ProtocolConfig::traditional_optimistic()}};
 }
 

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "analysis/causal_graph.h"
-#include "baseline/pessimistic.h"
 #include "core/metrics.h"
 #include "scenario.h"
 #include "sim/stats.h"
@@ -25,9 +24,9 @@ int main() {
            "outputs", "hold_p50_us", "hold_p99_us"});
   for (SimTime cadence_ms : {2, 10, 40}) {
     std::vector<std::pair<std::string, ProtocolConfig>> modes = {
-        {"pess", pessimistic_baseline()},
-        {"0", k_optimistic(0)},
-        {"2", k_optimistic(2)},
+        {"pess", ProtocolConfig::pessimistic()},
+        {"0", ProtocolConfig::k_optimistic(0)},
+        {"2", ProtocolConfig::k_optimistic(2)},
         {"N", ProtocolConfig::traditional_optimistic()}};
     for (auto& [name, cfg] : modes) {
       cfg.flush_interval_us = cadence_ms * 1000;

@@ -17,7 +17,6 @@
 #include <iostream>
 
 #include "app/workloads.h"
-#include "baseline/pessimistic.h"
 #include "core/failure_injector.h"
 #include "core/metrics.h"
 #include "exec/threaded_cluster.h"
@@ -38,10 +37,10 @@ void run_piggyback_sweep(BenchJson& j) {
       ProtocolConfig cfg;
     };
     std::vector<Mode> modes;
-    modes.push_back({"K=2 (Thm 2)", k_optimistic(2)});
-    modes.push_back({"K=4 (Thm 2)", k_optimistic(4)});
+    modes.push_back({"K=2 (Thm 2)", ProtocolConfig::k_optimistic(2)});
+    modes.push_back({"K=4 (Thm 2)", ProtocolConfig::k_optimistic(4)});
     modes.push_back({"K=N (Thm 2)", ProtocolConfig::traditional_optimistic()});
-    modes.push_back({"full TDV", full_tdv_baseline()});
+    modes.push_back({"full TDV", ProtocolConfig::full_tdv()});
     for (auto& [name, cfg] : modes) {
       ScenarioParams p;
       p.n = n;
@@ -76,7 +75,7 @@ void run_cluster_axis_storm(BenchJson& j, bool& all_audits_ok,
     ScenarioParams p;
     p.n = n;
     p.seed = 9;
-    p.protocol = k_optimistic(4);
+    p.protocol = ProtocolConfig::k_optimistic(4);
     // The logging-progress broadcast costs every process N-1 control sends
     // per round, so rounds must be spaced wider as N grows or the rounds
     // alone are O(N^2) per unit time and the N=1000 run trips the
@@ -155,7 +154,7 @@ void run_threaded_spot_check(BenchJson& j, bool& ok) {
     ClusterConfig cfg;
     cfg.n = 64;
     cfg.seed = 19;
-    cfg.protocol = k_optimistic(4);
+    cfg.protocol = ProtocolConfig::k_optimistic(4);
     cfg.record_events = true;
     cfg.measure_tracking = true;
     ThreadedOptions opt;

@@ -5,8 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -159,10 +157,10 @@ void BM_CodecRoundTripAppMsg(benchmark::State& state) {
 BENCHMARK(BM_CodecRoundTripAppMsg)->Arg(8)->Arg(64);
 
 // --- Mailbox primitives -----------------------------------------------------
-// The two-level threaded-backend spine: lock-free MPSC push/drain cost, the
-// same pattern under a mutex (the kMutex baseline shape), and producer
-// contention at 1..8 threads. These set the constant factors behind the
-// e12 shard-scaling sweep.
+// The two-level threaded-backend spine: lock-free MPSC push/drain cost,
+// producer contention at 1..8 threads, and submit-to-execute through a live
+// ThreadedScheduler. These set the constant factors behind the e12
+// shard-scaling sweep.
 
 struct MailItem {
   SimTime t = 0;
@@ -184,29 +182,6 @@ void BM_MailboxMpscPushDrain(benchmark::State& state) {
   state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_MailboxMpscPushDrain)->Arg(1)->Arg(64)->Arg(1024);
-
-void BM_MailboxMutexPushDrain(benchmark::State& state) {
-  // The same round trip through a mutex-guarded FIFO — the per-item critical
-  // section the kMutex scheduler policy pays on every cross-shard submit.
-  const int batch = static_cast<int>(state.range(0));
-  std::mutex mu;
-  std::queue<MailItem> q;
-  int64_t items = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      std::lock_guard<std::mutex> lk(mu);
-      q.push(MailItem{static_cast<SimTime>(i), static_cast<uint64_t>(i)});
-    }
-    while (true) {
-      std::lock_guard<std::mutex> lk(mu);
-      if (q.empty()) break;
-      q.pop();
-      ++items;
-    }
-  }
-  state.SetItemsProcessed(items);
-}
-BENCHMARK(BM_MailboxMutexPushDrain)->Arg(1)->Arg(64)->Arg(1024);
 
 // --- Ring recorder ----------------------------------------------------------
 // The streaming observability hot path: what a shard pays to record one
@@ -300,60 +275,11 @@ BENCHMARK(BM_MailboxMpscContention)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MailboxMutexContention(benchmark::State& state) {
-  // Identical producer/consumer pattern through a shared mutex-guarded FIFO.
-  const int producers = static_cast<int>(state.range(0));
-  constexpr int kPerProducer = 4096;
-  int64_t items = 0;
-  for (auto _ : state) {
-    std::mutex mu;
-    std::queue<MailItem> q;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      threads.emplace_back([&mu, &q, p] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          std::lock_guard<std::mutex> lk(mu);
-          q.push(MailItem{static_cast<SimTime>(i),
-                          static_cast<uint64_t>(p) << 32 |
-                              static_cast<uint64_t>(i)});
-        }
-      });
-    }
-    const size_t want = static_cast<size_t>(producers) * kPerProducer;
-    size_t got = 0;
-    while (got < want) {
-      bool popped = false;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!q.empty()) {
-          q.pop();
-          popped = true;
-        }
-      }
-      if (popped) {
-        ++got;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    for (std::thread& t : threads) t.join();
-    items += static_cast<int64_t>(got);
-  }
-  state.SetItemsProcessed(items);
-}
-BENCHMARK(BM_MailboxMutexContention)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ThreadedSchedulerPump(benchmark::State& state, MailboxPolicy policy) {
+void BM_ThreadedSchedulerPump(benchmark::State& state) {
   // End-to-end submit→execute through a live ThreadedScheduler: per item this
   // pays the mailbox push, the wake handshake, and the deadline-queue pop.
   MonotonicClock clock(1.0);
-  ThreadedScheduler sched(clock, "bench", policy);
+  ThreadedScheduler sched(clock, "bench");
   sched.start();
   constexpr int kBurst = 1024;
   int64_t items = 0;
@@ -366,10 +292,7 @@ void BM_ThreadedSchedulerPump(benchmark::State& state, MailboxPolicy policy) {
   sched.stop_and_join();
   state.SetItemsProcessed(items);
 }
-BENCHMARK_CAPTURE(BM_ThreadedSchedulerPump, batched, MailboxPolicy::kBatched)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThreadedSchedulerPump, mutex, MailboxPolicy::kMutex)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ThreadedSchedulerPump)->Unit(benchmark::kMillisecond);
 
 void BM_OracleDoomClosure(benchmark::State& state) {
   // A two-lane history with cross edges; doom queries exercise the memoized

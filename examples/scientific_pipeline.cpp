@@ -18,7 +18,6 @@
 #include <set>
 
 #include "app/workloads.h"
-#include "baseline/pessimistic.h"
 #include "core/cluster.h"
 
 using namespace koptlog;
@@ -84,7 +83,7 @@ int main() {
                "twice.\n\n";
   RunResult optimistic = run_pipeline(ProtocolConfig::traditional_optimistic());
   report("traditional optimistic (K=N)", optimistic);
-  RunResult pessimistic = run_pipeline(pessimistic_baseline());
+  RunResult pessimistic = run_pipeline(ProtocolConfig::pessimistic());
   report("pessimistic (sync logging)", pessimistic);
 
   bool identical = optimistic.item_ids == pessimistic.item_ids &&

@@ -18,7 +18,6 @@
 #include <iostream>
 
 #include "app/workloads.h"
-#include "baseline/pessimistic.h"
 #include "core/cluster.h"
 #include "core/failure_injector.h"
 #include "core/metrics.h"
@@ -81,9 +80,9 @@ int main() {
   Table t({"config", "setup_mean_us", "setup_p99_us", "rollbacks",
            "orphaned_msgs", "confirmed_calls"});
   std::vector<std::pair<const char*, ProtocolConfig>> configs = {
-      {"pessimistic", pessimistic_baseline()},
-      {"K=0", k_optimistic(0)},
-      {"K=2", k_optimistic(2)},
+      {"pessimistic", ProtocolConfig::pessimistic()},
+      {"K=0", ProtocolConfig::k_optimistic(0)},
+      {"K=2", ProtocolConfig::k_optimistic(2)},
       {"K=N (optimistic)", ProtocolConfig::traditional_optimistic()}};
   for (auto& [name, protocol] : configs) {
     Outcome o = run_switch(protocol, name);

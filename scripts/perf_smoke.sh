@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Perf smoke for the threaded backend's communication spine: runs bench_e12
-# (which re-audits every row's trace) and checks the batched-mailbox storm
-# rows scale sanely with shard count — 4-shard throughput must not collapse
-# below 1-shard throughput. It also asserts the headline comparison: the
-# batched spine must beat the pre-change mutex-mailbox baseline at 4 shards.
+# (which re-audits every row's trace) and checks the mailbox storm rows
+# scale sanely with shard count — 4-shard throughput must not collapse
+# below 1-shard throughput. It also holds the 4-shard K=2 storm rate above
+# an absolute floor: the rate of the retired single-mutex mailbox, read
+# from the committed trends/2026-08-08 snapshot (mutex_kev_per_s_4shard),
+# so the surviving spine must still beat the design it replaced.
 #
 #   scripts/perf_smoke.sh                 # uses ./build
 #   BUILD_DIR=build-rel scripts/perf_smoke.sh
@@ -41,11 +43,13 @@ echo "perf_smoke: running bench_e12 (this re-audits every row's trace)..."
   exit 1
 }
 
-python3 - "$WORK/BENCH_e12_backend_throughput.json" "$MIN_SHARD_RATIO" << 'EOF'
+python3 - "$WORK/BENCH_e12_backend_throughput.json" "$MIN_SHARD_RATIO" \
+    trends/2026-08-08/BENCH_e12_backend_throughput.json << 'EOF'
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
 min_ratio = float(sys.argv[2])
+mutex_floor = json.load(open(sys.argv[3]))["metrics"]["mutex_kev_per_s_4shard"]
 
 sweep = next(t for t in doc["tables"] if "storm sweep" in t["title"])
 col = {name: i for i, name in enumerate(sweep["columns"])}
@@ -58,17 +62,16 @@ for row in sweep["rows"]:
 
 one = rate[("batched", 1, "2")]
 four = rate[("batched", 4, "2")]
-mutex_four = rate[("mutex", 4, "2")]
 shard_ratio = four / one
-speedup = doc["metrics"]["batched_over_mutex_4shard"]
 print(f"perf_smoke: batched 1-shard {one:.0f} kev/s, 4-shard {four:.0f} kev/s "
       f"(ratio {shard_ratio:.2f}, floor {min_ratio})")
-print(f"perf_smoke: batched vs mutex at 4 shards: {four:.0f} vs "
-      f"{mutex_four:.0f} kev/s (speedup x{speedup:.2f})")
+print(f"perf_smoke: 4-shard storm {four:.0f} kev/s vs the retired mutex "
+      f"mailbox's {mutex_floor:.1f} kev/s (trends/2026-08-08)")
 if shard_ratio < min_ratio:
     sys.exit(f"perf_smoke: FAIL — 4-shard throughput regressed below "
              f"{min_ratio}x the 1-shard rate")
-if speedup < 1.0:
-    sys.exit("perf_smoke: FAIL — batched spine slower than the mutex baseline")
+if four <= mutex_floor:
+    sys.exit("perf_smoke: FAIL — 4-shard storm no faster than the retired "
+             "mutex mailbox")
 print("perf_smoke: OK")
 EOF

@@ -157,8 +157,7 @@ void print_critical_paths(const CausalGraph& g,
   }
 }
 
-bool write_critical_path_perfetto(const CausalGraph& g,
-                                  const std::vector<FailureImpact>& impacts,
+bool write_critical_path_perfetto(const std::vector<FailureImpact>& impacts,
                                   const std::string& path) {
   std::ofstream os(path);
   if (!os) return false;

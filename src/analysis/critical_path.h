@@ -49,8 +49,7 @@ void print_critical_paths(const CausalGraph& g,
 /// Chrome-JSON trace: one thread per announcement, one slice per hop plus
 /// flow arrows, loadable next to the simulator's own Perfetto export.
 /// Returns false when the file cannot be written.
-bool write_critical_path_perfetto(const CausalGraph& g,
-                                  const std::vector<FailureImpact>& impacts,
+bool write_critical_path_perfetto(const std::vector<FailureImpact>& impacts,
                                   const std::string& path);
 
 /// Scalar digest for bench tables (BENCH json columns).

@@ -12,7 +12,10 @@ namespace koptlog::analysis {
 namespace {
 
 std::string ref(const CausalGraph& g, int ev) {
-  return "[" + format_event_ref(g.trace(), static_cast<size_t>(ev)) + "]";
+  std::string out = "[";
+  out += format_event_ref(g.trace(), static_cast<size_t>(ev));
+  out += ']';
+  return out;
 }
 
 std::string n_entries(int n) {

@@ -69,7 +69,10 @@ std::map<MsgId, SimTime> commit_times(const CausalGraph& g) {
 }
 
 std::string signed_us(SimTime v) {
-  return (v >= 0 ? "+" : "") + std::to_string(v) + " us";
+  std::string out = v >= 0 ? "+" : "";
+  out += std::to_string(v);
+  out += " us";
+  return out;
 }
 
 }  // namespace

@@ -99,25 +99,31 @@ class ShiftMap {
       std::optional<SimTime> shift = SimTime{0};
       for (size_t pi = 0; pi < node->parents.size(); ++pi) {
         auto it = memo_.find(node->parents[pi]);
-        // A parent still in_progress would mean a cycle; the interval DAG
-        // has none, but a malformed trace shouldn't hang us.
-        std::optional<SimTime> ps =
-            it != memo_.end() ? it->second : std::optional<SimTime>{0};
+        // The parent's shift, or `never` when the parent never happens. A
+        // parent still in_progress would mean a cycle; the interval DAG has
+        // none, but a malformed trace shouldn't hang us.
+        SimTime ps = 0;
+        bool never = false;
+        if (it != memo_.end()) {
+          never = !it->second.has_value();
+          ps = it->second.value_or(0);
+        }
         // The delivery edge additionally carries the message's own delay.
-        if (static_cast<int>(pi) == node->msg_parent && node->via_msg && ps) {
+        if (static_cast<int>(pi) == node->msg_parent && node->via_msg &&
+            !never) {
           if (auto dep = departure_delta(*node->via_msg); dep.has_value()) {
             if (dep->has_value()) {
-              ps = *ps + **dep;
+              ps += **dep;
             } else {
-              ps.reset();  // message never released in replay
+              never = true;  // message never released in replay
             }
           }
         }
         if (!shift) continue;
-        if (!ps) {
+        if (never) {
           shift.reset();
         } else {
-          shift = std::max(*shift, *ps);
+          shift = std::max(*shift, ps);
         }
       }
       memo_[iv] = shift;

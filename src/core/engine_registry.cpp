@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "baseline/pessimistic.h"
 #include "direct/direct_process.h"
 
 namespace koptlog {
@@ -36,13 +35,15 @@ EngineRegistry::EngineRegistry() {
   entries_["pessimistic"] = Entry{
       kopt_factory(),
       "pessimistic baseline: synchronous log-before-send, K=0",
-      [](ClusterConfig& cfg) { cfg.protocol = pessimistic_baseline(); },
+      [](ClusterConfig& cfg) {
+        cfg.protocol = ProtocolConfig::pessimistic();
+      },
   };
   entries_["strom-yemini"] = Entry{
       kopt_factory(),
       "traditional optimistic baseline (Strom-Yemini 1985, FIFO channels)",
       [](ClusterConfig& cfg) {
-        cfg.protocol = strom_yemini_baseline();
+        cfg.protocol = ProtocolConfig::strom_yemini();
         cfg.fifo = true;
       },
   };

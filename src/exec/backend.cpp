@@ -1,7 +1,6 @@
 #include "exec/backend.h"
 
 #include "core/cluster.h"
-#include "exec/threaded_cluster.h"
 
 namespace koptlog {
 
@@ -24,10 +23,6 @@ bool is_backend(const std::string& name) {
   return false;
 }
 
-bool is_mailbox_policy(const std::string& name) {
-  return name == "batched" || name == "mutex";
-}
-
 std::unique_ptr<ClusterHost> make_backend_host(
     const BackendOptions& opt, const ClusterConfig& cfg,
     const ClusterHost::AppFactory& app,
@@ -36,15 +31,8 @@ std::unique_ptr<ClusterHost> make_backend_host(
     return std::make_unique<Cluster>(cfg, app, engine_factory);
   }
   if (opt.name == "threaded") {
-    ThreadedOptions topt;
-    topt.shards = opt.shards;
-    topt.time_scale = opt.time_scale;
-    topt.mailbox = opt.mailbox == "mutex" ? MailboxPolicy::kMutex
-                                          : MailboxPolicy::kBatched;
-    topt.mailbox_capacity = opt.mailbox_capacity;
-    topt.announce_fanout = opt.announce_fanout;
-    topt.health = opt.health;
-    return std::make_unique<ThreadedCluster>(cfg, topt, app, engine_factory);
+    return std::make_unique<ThreadedCluster>(cfg, opt.threaded, app,
+                                             engine_factory);
   }
   return nullptr;
 }

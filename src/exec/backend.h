@@ -13,10 +13,9 @@
 #include <vector>
 
 #include "core/cluster_host.h"
+#include "exec/threaded_cluster.h"
 
 namespace koptlog {
-
-class HealthRegistry;
 
 struct BackendInfo {
   std::string name;
@@ -31,29 +30,12 @@ bool is_backend(const std::string& name);
 
 struct BackendOptions {
   std::string name = "sim";
-  /// Threaded backend only: worker event loops (clamped to [1, n]).
-  int shards = 2;
-  /// Threaded backend only: real µs per virtual µs.
-  double time_scale = 1.0;
-  /// Threaded backend only: cross-shard mailbox implementation,
-  /// "batched" (two-level lock-free, default) or "mutex" (the pre-change
-  /// baseline, kept for benchmarking).
-  std::string mailbox = "batched";
-  /// Threaded backend only: per-shard occupancy bound (0 = unbounded).
-  /// Driver-side injections block while a shard is at capacity.
-  size_t mailbox_capacity = 0;
-  /// Threaded backend only: announcement dissemination — 0 = flat
-  /// per-shard fan-out, D >= 1 = D-ary tree over the shards (the origin
-  /// sends O(D) hop messages instead of O(shards)).
-  int announce_fanout = 0;
-  /// Optional runtime health telemetry (obs/health); must outlive the
-  /// host. The sim backend ignores it — its single thread has nothing the
-  /// sampler could race, and determinism goldens must not move.
-  HealthRegistry* health = nullptr;
+  /// Threaded backend only: shards, time scale, mailbox capacity,
+  /// announcement fan-out and health telemetry. The sim backend ignores
+  /// them all (its single thread has nothing a health sampler could race,
+  /// and determinism goldens must not move).
+  ThreadedOptions threaded;
 };
-
-/// True iff `name` names a mailbox policy ("batched" or "mutex").
-bool is_mailbox_policy(const std::string& name);
 
 /// Build a host for `opt.name`, applying any engine preset in
 /// `engine_factory`'s entry beforehand is the caller's business (see

@@ -1,5 +1,5 @@
 // MpscMailbox — the lock-free multi-producer/single-consumer inbox behind
-// ThreadedScheduler's batched mailbox policy. Producers push onto an
+// ThreadedScheduler's cross-shard mailbox. Producers push onto an
 // intrusive Treiber stack with one CAS; the single consumer splices the
 // whole stack off with one exchange and processes it as a batch, so the
 // cross-thread critical section is O(1) per batch instead of a mutex

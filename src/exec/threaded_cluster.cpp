@@ -22,6 +22,14 @@ ThreadedCluster::EngineFactory default_engine() {
                                      std::move(app));
   };
 }
+
+// An RNG fork label such as "p3". Built by append: GCC 12 reports a false
+// -Wrestrict on `"p" + std::to_string(i)` in Release builds.
+std::string fork_label(const char* prefix, int i) {
+  std::string label = prefix;
+  label += std::to_string(i);
+  return label;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -33,10 +41,10 @@ ThreadedCluster::ShardApi::ShardApi(ThreadedCluster& host, ProcessId pid)
       pid_(pid),
       data_rng_(Rng(host.cfg_.seed)
                     .fork("data-net")
-                    .fork("p" + std::to_string(pid))),
+                    .fork(fork_label("p", pid))),
       control_rng_(Rng(host.cfg_.seed)
                        .fork("control-net")
-                       .fork("p" + std::to_string(pid))) {
+                       .fork(fork_label("p", pid))) {
   if (host.cfg_.measure_tracking) {
     meter_ = std::make_unique<wire::TrackingMeter>(host.cfg_.n,
                                                    host.cfg_.tracking_channels);
@@ -267,8 +275,7 @@ ThreadedCluster::ThreadedCluster(ClusterConfig cfg, ThreadedOptions opt,
   shards_.reserve(static_cast<size_t>(opt_.shards));
   for (int s = 0; s < opt_.shards; ++s) {
     shards_.push_back(std::make_unique<ThreadedScheduler>(
-        clock_, "shard-" + std::to_string(s), opt_.mailbox,
-        opt_.mailbox_capacity));
+        clock_, "shard-" + std::to_string(s), opt_.mailbox_capacity));
   }
   KOPT_CHECK_MSG(opt_.announce_fanout >= 0,
                  "announce_fanout must be >= 0 (0 = flat fan-out)");
@@ -276,7 +283,7 @@ ThreadedCluster::ThreadedCluster(ClusterConfig cfg, ThreadedOptions opt,
   for (int s = 0; s < opt_.shards; ++s) {
     shard_forward_rngs_.push_back(Rng(cfg_.seed)
                                       .fork("announce-tree")
-                                      .fork("s" + std::to_string(s)));
+                                      .fork(fork_label("s", s)));
   }
   shard_pids_.assign(static_cast<size_t>(opt_.shards),
                      {cfg_.n, 0});  // empty until a pid lands in the shard

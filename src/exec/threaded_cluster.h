@@ -50,10 +50,7 @@ struct ThreadedOptions {
   /// Real microseconds per virtual microsecond (see MonotonicClock): 1.0
   /// runs the protocol's timers at nominal speed, 0.05 runs 20x faster.
   double time_scale = 1.0;
-  /// Cross-shard mailbox implementation: the batched lock-free spine
-  /// (default) or the pre-change single-mutex baseline (benchmarks).
-  MailboxPolicy mailbox = MailboxPolicy::kBatched;
-  /// Per-shard occupancy bound (0 = unbounded; batched policy only).
+  /// Per-shard occupancy bound (0 = unbounded).
   /// Non-worker producers — the driver injecting load — block while a
   /// shard is at capacity; shard workers are exempt and spill over.
   size_t mailbox_capacity = 0;

@@ -47,12 +47,8 @@ void MonotonicClock::sleep_until(SimTime t) const {
 }
 
 ThreadedScheduler::ThreadedScheduler(const MonotonicClock& clock,
-                                     std::string name, MailboxPolicy policy,
-                                     size_t capacity)
-    : clock_(clock),
-      name_(std::move(name)),
-      policy_(policy),
-      capacity_(capacity) {}
+                                     std::string name, size_t capacity)
+    : clock_(clock), name_(std::move(name)), capacity_(capacity) {}
 
 ThreadedScheduler::~ThreadedScheduler() { stop_and_join(); }
 
@@ -152,17 +148,6 @@ SeqNo ThreadedScheduler::schedule_at(SimTime t, Action fn) {
   KOPT_CHECK(fn != nullptr);
   KOPT_CHECK_MSG(!stop_.load(std::memory_order_acquire),
                  "schedule_at on stopped scheduler " << name_);
-  if (policy_ == MailboxPolicy::kMutex) {
-    SeqNo seq;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-      queue_.push(Event{t, seq, std::move(fn)});
-    }
-    counters_.pushes.fetch_add(1, std::memory_order_relaxed);
-    cv_.notify_one();
-    return seq;
-  }
   if (capacity_ != 0) acquire_slot();
   SeqNo seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   counters_.pushes.fetch_add(1, std::memory_order_relaxed);
@@ -175,13 +160,6 @@ void ThreadedScheduler::schedule_batch(std::vector<TimedAction> batch) {
   if (batch.empty()) return;
   KOPT_CHECK_MSG(!stop_.load(std::memory_order_acquire),
                  "schedule_batch on stopped scheduler " << name_);
-  if (policy_ == MailboxPolicy::kMutex) {
-    // Faithful pre-change baseline: one lock acquisition and one wake per
-    // item. Batching is a property of the batched mailbox, not of the call
-    // shape, so the benchmark comparison measures what the old spine paid.
-    for (TimedAction& item : batch) schedule_at(item.t, std::move(item.fn));
-    return;
-  }
   counters_.batch_splices.fetch_add(1, std::memory_order_relaxed);
   counters_.batch_items.fetch_add(batch.size(), std::memory_order_relaxed);
   // Pre-link the whole batch outside any shared state, then splice it into
@@ -225,29 +203,17 @@ void ThreadedScheduler::start() {
 }
 
 void ThreadedScheduler::stop_and_join() {
-  if (policy_ == MailboxPolicy::kMutex) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_.store(true, std::memory_order_release);
-    }
-    cv_.notify_all();
-  } else {
-    {
-      std::lock_guard<std::mutex> lk(wake_mu_);
-      stop_.store(true, std::memory_order_release);
-    }
-    wake_cv_.notify_all();
-    { std::lock_guard<std::mutex> lk(cap_mu_); }
-    cap_cv_.notify_all();  // unblock stalled producers
+  {
+    std::lock_guard<std::mutex> lk(wake_mu_);
+    stop_.store(true, std::memory_order_release);
   }
+  wake_cv_.notify_all();
+  { std::lock_guard<std::mutex> lk(cap_mu_); }
+  cap_cv_.notify_all();  // unblock stalled producers
   if (worker_.joinable()) worker_.join();
 }
 
 bool ThreadedScheduler::idle() const {
-  if (policy_ == MailboxPolicy::kMutex) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return queue_.empty() && !executing_.load(std::memory_order_acquire);
-  }
   // A seq number is taken before an event becomes visible and executed_
   // only catches up after the event's action returns, so equality means
   // nothing is in flight (a submit racing this check can only make the
@@ -257,23 +223,9 @@ bool ThreadedScheduler::idle() const {
 }
 
 size_t ThreadedScheduler::pending() const {
-  if (policy_ == MailboxPolicy::kMutex) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return queue_.size();
-  }
   uint64_t submitted = next_seq_.load(std::memory_order_acquire);
   uint64_t done = executed_.load(std::memory_order_acquire);
   return submitted > done ? static_cast<size_t>(submitted - done) : 0;
-}
-
-void ThreadedScheduler::loop() {
-  tl_on_worker = true;
-  if (policy_ == MailboxPolicy::kMutex) {
-    loop_mutex();
-  } else {
-    loop_batched();
-  }
-  tl_on_worker = false;
 }
 
 void ThreadedScheduler::park(bool has_deadline,
@@ -315,8 +267,9 @@ void ThreadedScheduler::flush_retired() {
   retire_count_ = 0;
 }
 
-void ThreadedScheduler::loop_batched() {
+void ThreadedScheduler::loop() {
   using Node = MpscMailbox<Event>::Node;
+  tl_on_worker = true;
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) break;
     // Level 1 -> level 2: splice the whole inbox into the local deadline
@@ -375,48 +328,18 @@ void ThreadedScheduler::loop_batched() {
     executed_.fetch_add(1, std::memory_order_release);
     if (capacity_ != 0) release_slot();
   }
-  // Drop events parked locally; their nodes join the free stack and are
-  // freed by ~MpscMailbox (as are any inbox leftovers).
+  // Drop the events still queued, locally or in the inbox, and release
+  // their captures now rather than at destruction. Their nodes join the
+  // free stack and are freed by ~MpscMailbox.
   while (!local_queue_.empty()) {
     Node* node = local_queue_.top().node;
     local_queue_.pop();
-    node->value.fn = nullptr;  // release captures of never-run actions now
+    node->value.fn = nullptr;
     retire_node(node);
   }
   flush_retired();
-}
-
-void ThreadedScheduler::loop_mutex() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (queue_.empty()) {
-      cv_.wait(lk);
-      continue;
-    }
-    auto deadline = clock_.real_deadline(queue_.top().t);
-    if (deadline > std::chrono::steady_clock::now()) {
-      // A new earlier event or stop request re-evaluates the wait.
-      cv_.wait_until(lk, deadline);
-      continue;
-    }
-    const SimTime due = queue_.top().t;
-    Action fn = std::move(const_cast<Event&>(queue_.top()).fn);
-    queue_.pop();
-    executing_.store(true, std::memory_order_release);
-    lk.unlock();
-    if (h_drain_latency_ != nullptr &&
-        ++drain_latency_tick_ % kDrainLatencySampleEvery == 0) {
-      SimTime now = clock_.now();
-      h_drain_latency_->observe(now > due ? static_cast<uint64_t>(now - due)
-                                          : 0);
-    }
-    fn();
-    fn = nullptr;  // destroy captures outside the lock
-    lk.lock();
-    executing_.store(false, std::memory_order_release);
-    executed_.fetch_add(1, std::memory_order_release);
-  }
+  inbox_.drain([](Event&& e) { e.fn = nullptr; });
+  tl_on_worker = false;
 }
 
 }  // namespace koptlog

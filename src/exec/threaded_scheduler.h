@@ -7,18 +7,17 @@
 // acquisition plus O(log n) heap push per event under a contended lock.
 // A condition variable is used only for parking: exactly the producer
 // whose push made the inbox non-empty wakes the worker, so floods of
-// pushes coalesce into one futex wake.
+// pushes coalesce into one futex wake. This two-level mailbox is the only
+// cross-shard path: the protocol needs per-process event order and a
+// reliable hand-off from its substrate, and the batched spine gives both.
 //
-// The pre-change single-mutex mailbox survives as MailboxPolicy::kMutex so
-// bench_e12 can measure the batched spine against the baseline it replaced.
-//
-// Backpressure (batched policy only): an optional occupancy bound. When
-// the number of scheduled-but-unexecuted events reaches the bound,
-// *non-worker* producers (the driver injecting load) block until the
-// worker catches up — inject floods throttle the producer instead of
-// growing the queue without bound. Shard workers are exempt (a worker
-// blocked on a full peer inbox while its own inbox fills would deadlock);
-// their over-capacity pushes are counted as soft overflows instead.
+// Backpressure: an optional occupancy bound. When the number of
+// scheduled-but-unexecuted events reaches the bound, *non-worker*
+// producers (the driver injecting load) block until the worker catches
+// up — inject floods throttle the producer instead of growing the queue
+// without bound. Shard workers are exempt (a worker blocked on a full
+// peer inbox while its own inbox fills would deadlock); their
+// over-capacity pushes are counted as soft overflows instead.
 //
 // Unlike the deterministic Simulator, time here is wall-clock: an event's
 // deadline is a point on the shared MonotonicClock, the worker sleeps
@@ -71,17 +70,6 @@ class MonotonicClock final : public Clock {
   double scale_;
 };
 
-/// How a shard's cross-thread mailbox is implemented.
-enum class MailboxPolicy {
-  /// Two-level: lock-free MPSC inbox spliced into a worker-local deadline
-  /// queue in batches; coalesced wakeups; optional occupancy bound.
-  kBatched,
-  /// The pre-batching baseline: one mutex guarding the deadline queue,
-  /// taken by every producer and by the worker around every pop. Kept so
-  /// benchmarks can measure the batched spine against what it replaced.
-  kMutex,
-};
-
 /// Contention / batching counters a scheduler accumulates over its life.
 /// All fields are monotone and cheap (relaxed atomics on the hot path);
 /// exact totals once the worker is joined. ThreadedCluster folds them into
@@ -103,9 +91,8 @@ struct MailboxCounters {
 class ThreadedScheduler final : public Scheduler {
  public:
   /// `name` labels the worker thread in diagnostics. `capacity` bounds
-  /// occupancy for non-worker producers when > 0 (batched policy only).
+  /// occupancy for non-worker producers when > 0.
   ThreadedScheduler(const MonotonicClock& clock, std::string name,
-                    MailboxPolicy policy = MailboxPolicy::kBatched,
                     size_t capacity = 0);
   ~ThreadedScheduler();
 
@@ -116,19 +103,20 @@ class ThreadedScheduler final : public Scheduler {
 
   /// Thread-safe: any shard (or the driver thread) may enqueue. Deadlines
   /// in the past run as soon as the worker is free, in (t, seq) order.
-  /// Under the batched policy with a capacity, non-worker callers block
-  /// while the shard is at capacity.
+  /// With a capacity, non-worker callers block while the shard is at
+  /// capacity.
   SeqNo schedule_at(SimTime t, Action fn) override;
 
-  /// Submit a whole batch with one producer-side critical section (one CAS
-  /// splice under kBatched, one lock acquisition under kMutex) and at most
-  /// one wakeup. Items keep FIFO seq order within the batch.
+  /// Submit a whole batch with one CAS splice and at most one wakeup.
+  /// Items keep FIFO seq order within the batch.
   void schedule_batch(std::vector<TimedAction> batch) override;
 
   /// Launch the worker thread. Events scheduled before start() are kept.
   void start();
 
-  /// Ask the worker to exit (pending events are dropped) and join it.
+  /// Ask the worker to exit and join it. Events still queued when the
+  /// worker exits never run, and their captures are destroyed before the
+  /// join returns.
   /// Idempotent; also called by the destructor. Unblocks stalled producers.
   void stop_and_join();
 
@@ -144,7 +132,6 @@ class ThreadedScheduler final : public Scheduler {
   size_t pending() const;
 
   const std::string& name() const { return name_; }
-  MailboxPolicy policy() const { return policy_; }
   size_t capacity() const { return capacity_; }
   const MailboxCounters& mailbox_counters() const { return counters_; }
 
@@ -165,12 +152,6 @@ class ThreadedScheduler final : public Scheduler {
     SeqNo seq;
     Action fn;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
   // The worker's deadline queue holds 24-byte keys referencing the mailbox
   // nodes in place: heap sifts move PODs, never the events' std::function
   // payloads, and the node is recycled only after its action ran.
@@ -187,17 +168,15 @@ class ThreadedScheduler final : public Scheduler {
   };
 
   void loop();
-  void loop_batched();
-  void loop_mutex();
   /// Worker only: queue a retired node for recycling; flushed to the
   /// mailbox free stack in batches so producers can reuse the memory.
   void retire_node(MpscMailbox<Event>::Node* n);
   void flush_retired();
 
-  /// Batched producers: account one more scheduled event, block while over
+  /// Producers: account one more scheduled event, block while over
   /// capacity (non-worker threads only), update the occupancy peak.
   void acquire_slot();
-  /// Batched worker: one event retired; wake stalled producers if the
+  /// Worker: one event retired; wake stalled producers if the
   /// occupancy dropped back under the bound.
   void release_slot();
   /// Wake the worker if it owes us a wake (`was_empty`) and is parked.
@@ -208,10 +187,8 @@ class ThreadedScheduler final : public Scheduler {
 
   const MonotonicClock& clock_;
   std::string name_;
-  const MailboxPolicy policy_;
   const size_t capacity_;
 
-  // --- batched-policy state --------------------------------------------
   MpscMailbox<Event> inbox_;
   std::priority_queue<QueuedRef, std::vector<QueuedRef>, LaterRef>
       local_queue_;  // worker-only
@@ -232,13 +209,7 @@ class ThreadedScheduler final : public Scheduler {
   std::mutex cap_mu_;
   std::condition_variable cap_cv_;   // bounded producers stall here
 
-  // --- mutex-policy state (the pre-change mailbox) ---------------------
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-
   std::atomic<SeqNo> next_seq_{0};
-  std::atomic<bool> executing_{false};
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> executed_{0};
   MailboxCounters counters_;

@@ -22,7 +22,11 @@ std::string msg_str(const MsgId& id) {
 }  // namespace
 
 std::string format_live_event_id(const ProtocolEvent& e) {
-  return "P" + std::to_string(e.pid) + "#" + std::to_string(e.seq);
+  std::string id = "P";
+  id += std::to_string(e.pid);
+  id += '#';
+  id += std::to_string(e.seq);
+  return id;
 }
 
 LiveAudit::LiveAudit(int n)

@@ -71,7 +71,7 @@ class DiskBackend final : public StorageBackend {
         n_(n),
         sched_(scheduler),
         stats_(stats),
-        dir_(fs::path(opts.dir) / ("p" + std::to_string(pid))) {
+        dir_((fs::path(opts.dir) / "p") += std::to_string(pid)) {
     KOPT_CHECK_MSG(!opts_.dir.empty(), "disk backend requires a storage dir");
     std::error_code ec;
     if (!opts_.recover) fs::remove_all(dir_, ec);

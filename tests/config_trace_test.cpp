@@ -1,7 +1,6 @@
 // Configuration presets and the trace facility.
 #include <gtest/gtest.h>
 
-#include "baseline/pessimistic.h"
 #include "common/trace.h"
 #include "core/config.h"
 
@@ -41,13 +40,13 @@ TEST(ConfigTest, PessimisticPreset) {
 }
 
 TEST(ConfigTest, BaselineHelpersMatchPresets) {
-  EXPECT_EQ(pessimistic_baseline().k, 0);
-  EXPECT_FALSE(strom_yemini_baseline().cor1_fast_delivery);
-  ProtocolConfig full = full_tdv_baseline();
+  EXPECT_EQ(ProtocolConfig::pessimistic().k, 0);
+  EXPECT_FALSE(ProtocolConfig::strom_yemini().cor1_fast_delivery);
+  ProtocolConfig full = ProtocolConfig::full_tdv();
   EXPECT_FALSE(full.null_stable_entries);
   EXPECT_TRUE(full.cor1_fast_delivery);  // ablation keeps the other two
   EXPECT_FALSE(full.announce_all_rollbacks);
-  EXPECT_EQ(k_optimistic(2).k, 2);
+  EXPECT_EQ(ProtocolConfig::k_optimistic(2).k, 2);
 }
 
 TEST(TracerTest, DisabledByDefault) {

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "app/workloads.h"
-#include "baseline/pessimistic.h"
 #include "core/cluster.h"
 #include "core/engine_registry.h"
 #include "core/process.h"
@@ -36,9 +35,9 @@ TEST(EngineRegistryTest, PresetsPinTheProtocolConfig) {
   ASSERT_NE(pess, nullptr);
   ASSERT_TRUE(static_cast<bool>(pess->configure));
   ClusterConfig cfg;
-  cfg.protocol = k_optimistic(3);
+  cfg.protocol = ProtocolConfig::k_optimistic(3);
   pess->configure(cfg);
-  EXPECT_EQ(cfg.protocol.k, pessimistic_baseline().k);
+  EXPECT_EQ(cfg.protocol.k, ProtocolConfig::pessimistic().k);
 
   const EngineRegistry::Entry* sy =
       EngineRegistry::instance().find("strom-yemini");

@@ -18,7 +18,7 @@ OutputRecord record(RuntimeFixture& fx, SeqNo seq,
   rec.id = MsgId{0, seq};
   rec.tdv = DepVector(fx.rt.n);
   for (ProcessId j : deps) rec.tdv.set(j, Entry{1, static_cast<Sii>(seq)});
-  rec.born_of = IntervalId{0, 1, seq};
+  rec.born_of = IntervalId{0, 1, static_cast<Sii>(seq)};
   rec.created_at = fx.api.sim().now();
   return rec;
 }

@@ -10,6 +10,7 @@
 //   - committed outputs are never revoked.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "app/workloads.h"
@@ -150,6 +151,13 @@ struct BaselineParam {
   uint64_t seed;
 };
 
+// gtest's default printer dumps a struct's raw bytes, and the string
+// pointer in them moves with every load address, so the discovered test
+// names would differ from one build to the next. Print the values instead.
+void PrintTo(const BaselineParam& p, std::ostream* os) {
+  *os << p.name << ',' << p.failures << ',' << p.seed;
+}
+
 std::string baseline_name(const ::testing::TestParamInfo<BaselineParam>& info) {
   return std::string(info.param.name) + "_f" +
          std::to_string(info.param.failures) + "_s" +
@@ -215,6 +223,10 @@ struct DirectParam {
   int failures;
   uint64_t seed;
 };
+
+void PrintTo(const DirectParam& p, std::ostream* os) {
+  *os << p.workload << ',' << p.n << ',' << p.failures << ',' << p.seed;
+}
 
 std::string direct_name(const ::testing::TestParamInfo<DirectParam>& info) {
   return std::string(info.param.workload) + "_n" +

@@ -28,7 +28,7 @@ struct RuntimeFixture {
     m.from = from;
     m.to = 0;
     m.tdv = DepVector(rt.n);
-    m.born_of = IntervalId{from, 1, seq};
+    m.born_of = IntervalId{from, 1, static_cast<Sii>(seq)};
     m.sent_at = api.sim().now();
     return m;
   }

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,8 +163,7 @@ TEST(ThreadedSchedulerTest, ScheduleBatchRespectsDeadlinesAcrossItems) {
 
 TEST(ThreadedSchedulerTest, BoundedInboxStallsProducersWithoutLoss) {
   MonotonicClock clock(kFastScale);
-  ThreadedScheduler sched(clock, "t", MailboxPolicy::kBatched,
-                          /*capacity=*/16);
+  ThreadedScheduler sched(clock, "t", /*capacity=*/16);
   sched.start();
   std::atomic<int> ran{0};
   constexpr int kProducers = 4;
@@ -190,6 +190,47 @@ TEST(ThreadedSchedulerTest, BoundedInboxStallsProducersWithoutLoss) {
   // submits here, so no soft overflows).
   EXPECT_GT(mc.producer_stalls.load(), 0u);
   EXPECT_EQ(mc.soft_overflows.load(), 0u);
+}
+
+TEST(ThreadedSchedulerTest, StopDropsQueuedWorkAndReleasesStalledProducer) {
+  MonotonicClock clock(1.0);
+  ThreadedScheduler sched(clock, "t", /*capacity=*/1);
+  sched.start();
+  // One event an hour out fills the one-slot shard. Its capture holds a
+  // reference that only the scheduler can release.
+  auto token = std::make_shared<int>(0);
+  std::atomic<bool> far_ran{false};
+  sched.schedule_at(clock.now() + 3'600'000'000,
+                    [token, &far_ran] { far_ran = true; });
+  const MailboxCounters& mc = sched.mailbox_counters();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (mc.drains.load() == 0) {  // the worker holds it in its local queue
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // An external producer blocks on the full shard.
+  std::atomic<bool> producer_returned{false};
+  std::thread producer([&] {
+    sched.schedule_at(0, [] {});
+    producer_returned = true;
+  });
+  while (mc.producer_stalls.load() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  sched.stop_and_join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_FALSE(far_ran.load());
+  EXPECT_EQ(token.use_count(), 1);
+  while (!producer_returned.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A producer still blocked here would hang the join below; failing the
+  // assertion instead ends the test (and the process) at once.
+  ASSERT_TRUE(producer_returned.load());
+  producer.join();
 }
 
 TEST(ThreadedSchedulerTest, IdleAndExecutedDetectQuiescence) {

@@ -41,11 +41,9 @@ struct Args {
   std::string workload = "uniform";
   std::string engine = "kopt";  // kopt | direct | pessimistic | strom-yemini
   std::string backend = "sim";  // sim | threaded
-  int shards = 2;
-  double time_scale = 0.1;
-  std::string mailbox = "batched";  // batched | mutex
-  size_t mailbox_capacity = 0;      // 0 = unbounded
-  int announce_fanout = 0;          // 0 = flat fan-out; D>=1 = D-ary tree
+  // --shards, --time-scale, --mailbox-capacity, --announce-fanout; the
+  // CLI runs 10x faster than nominal by default.
+  ThreadedOptions threaded{.time_scale = 0.1};
   int injections = 100;
   int ttl = 7;
   int failures = 0;
@@ -92,8 +90,6 @@ struct Args {
       << "  --shards INT      threaded backend: worker threads (default 2)\n"
       << "  --time-scale F    threaded backend: real us per virtual us\n"
       << "                    (default 0.1 = 10x faster than nominal)\n"
-      << "  --mailbox batched|mutex   threaded backend: cross-shard mailbox\n"
-      << "                    (default batched; mutex = pre-batching baseline)\n"
       << "  --mailbox-capacity INT    threaded backend: per-shard occupancy\n"
       << "                    bound; injections block while a shard is full\n"
       << "                    (default 0 = unbounded)\n"
@@ -175,12 +171,12 @@ Args parse(int argc, char** argv) {
     else if (f == "--n") a.n = std::stoi(need(i));
     else if (f == "--k") a.k = std::stoi(need(i));
     else if (f == "--seed") a.seed = std::stoull(need(i));
-    else if (f == "--shards") a.shards = std::stoi(need(i));
-    else if (f == "--time-scale") a.time_scale = std::stod(need(i));
-    else if (f == "--mailbox") a.mailbox = need(i);
+    else if (f == "--shards") a.threaded.shards = std::stoi(need(i));
+    else if (f == "--time-scale") a.threaded.time_scale = std::stod(need(i));
     else if (f == "--mailbox-capacity")
-      a.mailbox_capacity = static_cast<size_t>(std::stoull(need(i)));
-    else if (f == "--announce-fanout") a.announce_fanout = std::stoi(need(i));
+      a.threaded.mailbox_capacity = static_cast<size_t>(std::stoull(need(i)));
+    else if (f == "--announce-fanout")
+      a.threaded.announce_fanout = std::stoi(need(i));
     else if (f == "--injections") a.injections = std::stoi(need(i));
     else if (f == "--ttl") a.ttl = std::stoi(need(i));
     else if (f == "--failures") a.failures = std::stoi(need(i));
@@ -318,12 +314,7 @@ int main(int argc, char** argv) {
     std::cerr << "); see --list-backends\n";
     return 2;
   }
-  if (!is_mailbox_policy(a.mailbox)) {
-    std::cerr << "error: unknown mailbox policy '" << a.mailbox
-              << "' (have: batched mutex)\n";
-    return 2;
-  }
-  if (a.announce_fanout < 0) {
+  if (a.threaded.announce_fanout < 0) {
     std::cerr << "error: --announce-fanout must be >= 0 (0 = flat fan-out)\n";
     return 2;
   }
@@ -403,14 +394,8 @@ int main(int argc, char** argv) {
       : a.workload == "clientserver" ? make_client_server_app({})
                                      : make_uniform_app({});
 
-  BackendOptions bopt;
-  bopt.name = a.backend;
-  bopt.shards = a.shards;
-  bopt.time_scale = a.time_scale;
-  bopt.mailbox = a.mailbox;
-  bopt.mailbox_capacity = a.mailbox_capacity;
-  bopt.announce_fanout = a.announce_fanout;
-  if (health_on) bopt.health = &health_registry;
+  BackendOptions bopt{a.backend, a.threaded};
+  if (health_on) bopt.threaded.health = &health_registry;
   std::unique_ptr<ClusterHost> host =
       make_backend_host(bopt, cfg, app, engine->factory);
   ClusterHost& cluster = *host;
@@ -540,7 +525,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "engine=" << a.engine << " backend=" << a.backend;
-  if (threaded) std::cout << " shards=" << a.shards;
+  if (threaded) std::cout << " shards=" << a.threaded.shards;
   std::cout << " workload=" << a.workload
             << " n=" << a.n << " seed=" << a.seed << "\n"
             << "  delivered          " << cluster.stats().counter("msgs.delivered")
@@ -561,8 +546,7 @@ int main(int argc, char** argv) {
     // End-of-run mailbox health: how the cross-shard spine behaved. The
     // same counters appear in --metrics-out's Prometheus dump.
     const Stats& st = cluster.stats();
-    std::cout << "  mailbox            policy=" << a.mailbox
-              << " capacity=" << a.mailbox_capacity
+    std::cout << "  mailbox            capacity=" << a.threaded.mailbox_capacity
               << " max_occupancy=" << st.counter("mailbox.max_occupancy")
               << "\n                     batches=" << st.counter("mailbox.drains")
               << " max_batch=" << st.counter("mailbox.max_drain_batch")

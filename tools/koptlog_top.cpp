@@ -87,7 +87,7 @@ using SeriesMap = std::map<std::string, std::map<std::string, std::vector<Series
 
 struct Folded {
   SeriesMap series;                       // dom -> metric -> points
-  std::map<std::string, std::string> kind;  // "dom/metric" -> c|g|h
+  std::map<std::string, char> kind;  // "dom/metric" -> c|g|h
   std::map<std::string, HealthHistogramSnapshot> last_hist;  // dom/metric
   size_t ticks = 0;
 };
@@ -99,17 +99,17 @@ Folded fold(const HealthSeries& hs) {
     const std::string& dom = tick.domain.name;
     for (const auto& [name, v] : tick.domain.counters) {
       f.series[dom][name].push_back({tick.t_us, static_cast<double>(v)});
-      f.kind[dom + "/" + name] = "c";
+      f.kind[dom + "/" + name] = 'c';
     }
     for (const auto& [name, v] : tick.domain.gauges) {
       f.series[dom][name].push_back({tick.t_us, static_cast<double>(v)});
-      f.kind[dom + "/" + name] = "g";
+      f.kind[dom + "/" + name] = 'g';
     }
     for (const auto& [name, h] : tick.domain.histograms) {
       // Trajectory of the running p99; the final snapshot keeps the full
       // bucket detail for the table columns.
       f.series[dom][name].push_back({tick.t_us, h.quantile(0.99)});
-      f.kind[dom + "/" + name] = "h";
+      f.kind[dom + "/" + name] = 'h';
       f.last_hist[dom + "/" + name] = h;
     }
   }

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     std::vector<FailureImpact> impacts = compute_critical_paths(graph);
     print_critical_paths(graph, impacts, std::cout);
     if (!perfetto_out.empty()) {
-      if (!write_critical_path_perfetto(graph, impacts, perfetto_out)) {
+      if (!write_critical_path_perfetto(impacts, perfetto_out)) {
         std::cerr << "error: cannot write " << perfetto_out << "\n";
         return 2;
       }
