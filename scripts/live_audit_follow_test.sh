@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end gate for the streaming observability pipeline:
 #   1. a threaded ring-mode run with --live-audit must exit 0, report the
-#      ring counters, and stream a JSONL trace that the batch auditor
-#      accepts post-hoc;
-#   2. koptlog_audit --follow over that (finished) file must agree;
+#      ring counters, and stream a JSONL trace that koptlog_audit accepts
+#      post-hoc;
+#   2. koptlog_audit --follow over that (finished) file must print the same
+#      summary line as batch mode;
 #   3. a torn final line must be reported but not fail the audit;
-#   4. an appended orphan-commit line must flip --follow to exit 1 with
-#      the offending event's stable id in the diagnostic.
+#   4. an appended orphan-commit line must make both batch mode and --follow
+#      exit 1 with the offending event's stable id in the diagnostic.
 #
 # Under ctest (test "live_audit_follow") the harness sets
 # KOPTLOG_SCHEMA_NO_BUILD=1 and BUILD_DIR to reuse the binaries it built.
@@ -33,17 +34,20 @@ grep -q "live audit: audit OK" "$TMP/sim.out"
 grep -q "ring " "$TMP/sim.out"
 
 echo "== streamed trace re-audits green (batch)"
-"$BUILD_DIR/tools/koptlog_audit" "$TRACE"
+"$BUILD_DIR/tools/koptlog_audit" "$TRACE" | tee "$TMP/batch.out"
 
-echo "== --follow on the finished file agrees"
-"$BUILD_DIR/tools/koptlog_audit" --follow --idle-timeout-ms 300 "$TRACE"
+echo "== --follow on the finished file prints the same summary"
+"$BUILD_DIR/tools/koptlog_audit" --follow --idle-timeout-ms 300 "$TRACE" \
+  | tee "$TMP/follow.out"
+grep -q "^audit OK: " "$TMP/batch.out"
+diff "$TMP/batch.out" "$TMP/follow.out"
 
 echo "== torn final line: reported, not fatal"
 head -c $(( $(wc -c < "$TRACE") - 7 )) "$TRACE" > "$TMP/torn.jsonl"
 "$BUILD_DIR/tools/koptlog_audit" "$TMP/torn.jsonl" 2> "$TMP/torn.err"
 grep -q "torn final line" "$TMP/torn.err"
 
-echo "== injected orphan commit: --follow exits 1 and cites the event"
+echo "== injected orphan commit: batch and --follow exit 1 and cite the event"
 cp "$TRACE" "$TMP/bad.jsonl"
 # A fresh announcement ends P0's (fictitious) incarnation 40 at sii 500000
 # — far above anything the real run committed, so no real output is
@@ -60,5 +64,10 @@ if "$BUILD_DIR/tools/koptlog_audit" --follow --idle-timeout-ms 300 \
 fi
 grep -q "VIOLATION" "$TMP/bad.err"
 grep -q "P1#999999" "$TMP/bad.err"
+if "$BUILD_DIR/tools/koptlog_audit" "$TMP/bad.jsonl" 2> "$TMP/bad_batch.err"; then
+  echo "ERROR: batch mode accepted an orphan commit" >&2
+  exit 1
+fi
+grep -q "P1#999999" "$TMP/bad_batch.err"
 
 echo "live_audit_follow_test: all checks passed"

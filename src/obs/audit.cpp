@@ -1,26 +1,10 @@
 #include "obs/audit.h"
 
-#include <limits>
-#include <optional>
-#include <set>
 #include <sstream>
-#include <unordered_map>
 
-#include "common/entry.h"
+#include "obs/live_audit.h"
 
 namespace koptlog {
-
-namespace {
-
-constexpr size_t kMaxViolations = 100;
-
-std::string interval_str(const IntervalId& iv) {
-  std::ostringstream os;
-  os << '(' << iv.inc << ',' << iv.sii << ")_" << iv.pid;
-  return os.str();
-}
-
-}  // namespace
 
 std::string AuditReport::summary() const {
   std::ostringstream os;
@@ -39,258 +23,9 @@ std::string AuditReport::summary() const {
 }
 
 AuditReport audit_trace(const Trace& trace) {
-  AuditReport rep;
-  rep.events = trace.events.size();
-  const int n = trace.n;
-
-  auto violate = [&](SimTime t, ProcessId pid, const std::string& what) {
-    if (rep.violations.size() < kMaxViolations) {
-      std::ostringstream os;
-      os << "t=" << t << " P" << pid << ": " << what;
-      rep.violations.push_back(os.str());
-    } else if (rep.violations.size() == kMaxViolations) {
-      rep.violations.push_back("... further violations suppressed");
-    }
-  };
-
-  // ---- pass 1: the dead-interval predicate from announcements alone ----
-  // Interval (t,x) of P_j is rolled back iff some announcement (s,x') of
-  // P_j has s >= t and x' < x — the same predicate the engines' incarnation
-  // end tables implement (EntrySet::orphans), reconstructed here purely
-  // from failure_announce events (Theorem 1: announcements suffice).
-  std::vector<std::vector<Entry>> announced(static_cast<size_t>(n));
-  for (const ProtocolEvent& e : trace.events) {
-    if (e.kind != EventKind::kFailureAnnounce) continue;
-    ++rep.announcements;
-    announced[static_cast<size_t>(e.pid)].push_back(e.ended);
-  }
-  auto is_dead = [&](const IntervalId& iv) {
-    if (iv.pid < 0 || iv.pid >= n) return false;  // environment
-    for (const Entry& a : announced[static_cast<size_t>(iv.pid)]) {
-      if (a.inc >= iv.inc && iv.sii > a.sii) return true;
-    }
-    return false;
-  };
-
-  // ---- pass 2: stream scan — chain reconstruction + local checks ----
-  // Per-process chain position is advanced only by the four chain-defining
-  // kinds (deliver, rollback, failure_announce, incarnation_bump); buffer
-  // and commit events are attributed to older intervals and must not
-  // regress it.
-  std::unordered_map<IntervalId, std::vector<IntervalId>, IntervalIdHash>
-      parents;
-  std::vector<OptEntry> cur(static_cast<size_t>(n));
-  std::vector<std::optional<EventKind>> last_chain(static_cast<size_t>(n));
-  std::vector<SimTime> prev_t(static_cast<size_t>(n),
-                              std::numeric_limits<SimTime>::min());
-  struct CommitSite {
-    SimTime t = 0;
-    ProcessId pid = 0;
-    MsgId id;
-    IntervalId ref;
-  };
-  std::vector<CommitSite> commits;
-  std::set<MsgId> distinct_outputs;
-
-  for (const ProtocolEvent& e : trace.events) {
-    size_t p = static_cast<size_t>(e.pid);
-    if (e.t < prev_t[p]) {
-      violate(e.t, e.pid, "per-process timestamps regressed (" +
-                              std::string(event_kind_name(e.kind)) + ")");
-    }
-    prev_t[p] = e.t;
-    switch (e.kind) {
-      case EventKind::kDeliver: {
-        IntervalId iv{e.pid, e.at.inc, e.at.sii};
-        if (parents.count(iv) != 0) {
-          violate(e.t, e.pid,
-                  "state interval " + interval_str(iv) + " created twice");
-          break;
-        }
-        std::vector<IntervalId> ps;
-        if (cur[p]) ps.push_back(IntervalId{e.pid, cur[p]->inc, cur[p]->sii});
-        if (e.ref.pid != kEnvironment) ps.push_back(e.ref);
-        parents.emplace(iv, std::move(ps));
-        cur[p] = e.at;
-        last_chain[p] = e.kind;
-        break;
-      }
-      case EventKind::kIncarnationBump: {
-        // Theorem 1's bookkeeping: a new incarnation exists only because an
-        // incarnation ended, and that end must have been announced (restart)
-        // or at least locally recorded as a rollback. A trace whose
-        // announcement was dropped fails here — peers could never have
-        // orphan-detected against the lost intervals.
-        if (last_chain[p] != EventKind::kRollback &&
-            last_chain[p] != EventKind::kFailureAnnounce) {
-          violate(e.t, e.pid,
-                  "incarnation bump to (" + std::to_string(e.at.inc) + "," +
-                      std::to_string(e.at.sii) +
-                      ") without a preceding rollback/failure announcement");
-        }
-        IntervalId iv{e.pid, e.at.inc, e.at.sii};
-        if (parents.count(iv) != 0) {
-          violate(e.t, e.pid,
-                  "state interval " + interval_str(iv) + " created twice");
-        } else {
-          std::vector<IntervalId> ps;
-          if (cur[p]) ps.push_back(IntervalId{e.pid, cur[p]->inc, cur[p]->sii});
-          parents.emplace(iv, std::move(ps));
-        }
-        cur[p] = e.at;
-        last_chain[p] = e.kind;
-        break;
-      }
-      case EventKind::kRollback:
-        ++rep.rollbacks;
-        cur[p] = e.at;  // restored position
-        last_chain[p] = e.kind;
-        break;
-      case EventKind::kFailureAnnounce:
-        cur[p] = e.at;
-        last_chain[p] = e.kind;
-        break;
-      case EventKind::kBufferRelease: {
-        ++rep.releases_checked;
-        // Theorem 4: at most K processes' failures can revoke a released
-        // message.
-        if (e.k_limit >= 0 && e.k_reached > e.k_limit) {
-          violate(e.t, e.pid,
-                  "release of msg " + std::to_string(e.msg.src) + ":" +
-                      std::to_string(e.msg.seq) + " with " +
-                      std::to_string(e.k_reached) + " live entries > K=" +
-                      std::to_string(e.k_limit));
-        }
-        if (e.k_reached != e.tdv.non_null_count()) {
-          violate(e.t, e.pid,
-                  "release k_reached=" + std::to_string(e.k_reached) +
-                      " disagrees with recorded vector (" +
-                      std::to_string(e.tdv.non_null_count()) +
-                      " non-NULL entries)");
-        }
-        break;
-      }
-      case EventKind::kBufferHold:
-        // A send-side hold is only justified while over the bound.
-        if (!e.recv_side && e.k_limit >= 0 && e.k_reached >= 0 &&
-            e.k_reached <= e.k_limit) {
-          violate(e.t, e.pid,
-                  "send buffer held msg " + std::to_string(e.msg.src) + ":" +
-                      std::to_string(e.msg.seq) + " at " +
-                      std::to_string(e.k_reached) +
-                      " live entries, within K=" + std::to_string(e.k_limit));
-        }
-        break;
-      case EventKind::kOutputCommit: {
-        ++rep.commits_checked;
-        distinct_outputs.insert(e.msg);
-        commits.push_back(CommitSite{e.t, e.pid, e.msg, e.ref});
-        // Direct check on the recorded vector: a committed output must not
-        // name a dead interval even if that interval never shows up in the
-        // reconstructed graph (e.g. a truncated trace missing its deliver).
-        // Pass 3's closure subsumes this on complete traces.
-        e.tdv.for_each([&](ProcessId j, const Entry& d) {
-          if (is_dead(IntervalId{j, d.inc, d.sii})) {
-            violate(e.t, e.pid,
-                    "output " + std::to_string(e.msg.src) + ":" +
-                        std::to_string(e.msg.seq) +
-                        " committed with dead dependency " +
-                        interval_str(IntervalId{j, d.inc, d.sii}));
-          }
-        });
-        break;
-      }
-      case EventKind::kRecorderDrop:
-        // Overflow gap marker: the verdict below only covers the surviving
-        // stream, so surface the loss in the report's coverage counters.
-        rep.dropped_events += static_cast<uint64_t>(e.undone);
-        break;
-      case EventKind::kSend:
-      case EventKind::kCheckpoint:
-      case EventKind::kRetransmit:
-      // Storage and progress events carry no protocol obligations; the
-      // restart-equivalence test checks their semantics against the model
-      // run.
-      case EventKind::kStorageFlush:
-      case EventKind::kStorageRecover:
-      case EventKind::kProgressNotify:
-        break;
-    }
-  }
-  rep.intervals = parents.size();
-  rep.distinct_outputs = distinct_outputs.size();
-  for (const auto& [iv, ps] : parents) {
-    if (is_dead(iv)) ++rep.dead_intervals;
-  }
-
-  // ---- pass 3: orphan-freedom of committed output (Theorems 1–3) ----
-  // Transitive closure over the reconstructed graph; memoized, iterative
-  // (chains grow with the run length). An interval with no recorded
-  // creation event (process start, pre-trace history) is a leaf — it is
-  // still tested against the dead predicate itself.
-  enum : int { kInProgress = 0, kClean = 1, kDead = 2 };
-  std::unordered_map<IntervalId, int, IntervalIdHash> memo;
-  std::unordered_map<IntervalId, IntervalId, IntervalIdHash> culprit;
-  auto closure_dead =
-      [&](const IntervalId& root) -> std::optional<IntervalId> {
-    std::vector<IntervalId> stack{root};
-    while (!stack.empty()) {
-      IntervalId iv = stack.back();
-      auto mit = memo.find(iv);
-      if (mit != memo.end() && mit->second != kInProgress) {
-        stack.pop_back();
-        continue;
-      }
-      if (mit == memo.end()) {
-        if (is_dead(iv)) {
-          memo[iv] = kDead;
-          culprit.emplace(iv, iv);
-          stack.pop_back();
-          continue;
-        }
-        memo[iv] = kInProgress;
-        auto pit = parents.find(iv);
-        if (pit != parents.end()) {
-          for (const IntervalId& parent : pit->second) {
-            auto s = memo.find(parent);
-            if (s == memo.end()) stack.push_back(parent);
-          }
-        }
-        continue;  // revisit once parents are resolved
-      }
-      int verdict = kClean;
-      std::optional<IntervalId> c;
-      auto pit = parents.find(iv);
-      if (pit != parents.end()) {
-        for (const IntervalId& parent : pit->second) {
-          auto s = memo.find(parent);
-          if (s != memo.end() && s->second == kDead) {
-            verdict = kDead;
-            c = culprit.at(parent);
-            break;
-          }
-        }
-      }
-      memo[iv] = verdict;
-      if (c) culprit.emplace(iv, *c);
-      stack.pop_back();
-    }
-    if (memo.at(root) != kDead) return std::nullopt;
-    return culprit.at(root);
-  };
-
-  for (const CommitSite& c : commits) {
-    std::optional<IntervalId> dead_dep = closure_dead(c.ref);
-    if (dead_dep) {
-      violate(c.t, c.pid,
-              "output " + std::to_string(c.id.src) + ":" +
-                  std::to_string(c.id.seq) + " committed from " +
-                  interval_str(c.ref) + " but depends on rolled-back interval " +
-                  interval_str(*dead_dep));
-    }
-  }
-
-  return rep;
+  LiveAudit audit(trace.n);
+  for (const ProtocolEvent& e : trace.events) audit.on_event(e);
+  return audit.report();
 }
 
 }  // namespace koptlog

@@ -3,23 +3,9 @@
 // the production-shaped check: any deployment that can capture the JSONL
 // event log can run it post hoc.
 //
-// Invariants checked (see DESIGN.md §"Observability"):
-//  * Orphan-freedom of committed output (Theorems 1–3): reconstruct the
-//    interval dependency graph from deliver/rollback/announce/bump events,
-//    mark every interval killed by a failure announcement as dead — interval
-//    (t,x) of P_j is dead iff some announcement (s,x') of P_j has s >= t and
-//    x' < x, the paper's orphan predicate — and require that no
-//    output_commit's transitive closure contains a dead interval.
-//  * K bound (Theorem 4): every buffer_release reports at most klim live
-//    entries, and the count matches its recorded vector; a send-side
-//    buffer_hold must be over the bound (otherwise the hold was spurious).
-//  * Incarnation accounting (Theorem 1's bookkeeping): every
-//    incarnation_bump must be immediately preceded — among that process's
-//    chain-defining events — by a rollback or failure_announce. A trace
-//    with a dropped announcement fails here: the bump has no announced
-//    cause, so peers could never have detected its orphans.
-//  * Stream sanity: per-process timestamps are non-decreasing and no state
-//    interval is created twice.
+// There is one auditor: audit_trace replays the trace through LiveAudit
+// (obs/live_audit.h), which documents the invariants it checks, and returns
+// its report. Violations cite the offending event as "P<pid>#<seq> t=<t>: ...".
 #pragma once
 
 #include <string>

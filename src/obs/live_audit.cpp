@@ -123,9 +123,8 @@ void LiveAudit::on_event(const ProtocolEvent& e) {
       break;
     }
     case EventKind::kIncarnationBump: {
-      // Same bookkeeping rule as the batch audit: a bump with no announced
-      // (or at least locally recorded) cause means peers could never have
-      // orphan-detected against the lost intervals.
+      // A bump with no announced (or at least locally recorded) cause means
+      // peers could never have orphan-detected against the lost intervals.
       if (last_chain_[p] != EventKind::kRollback &&
           last_chain_[p] != EventKind::kFailureAnnounce) {
         violate(e, "incarnation bump to (" + std::to_string(e.at.inc) + "," +

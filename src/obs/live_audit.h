@@ -1,12 +1,12 @@
-// LiveAudit — the trace audit (obs/audit.h) restated as an online,
-// incremental check: events are folded in one at a time as they stream out
-// of the ring recorders (or out of a growing JSONL file), and the first
-// violation is flagged the moment the contradicting event arrives, citing
-// the offending event's stable id "P<pid>#<seq>" (per-process emission
-// sequence — stable across merges, unlike a file line number).
+// LiveAudit — the trace auditor, as an online, incremental check: events
+// are folded in one at a time as they stream out of the ring recorders (or
+// out of a growing JSONL file), and the first violation is flagged the
+// moment the contradicting event arrives, citing the offending event's
+// stable id "P<pid>#<seq>" (per-process emission sequence — stable across
+// merges, unlike a file line number). The post-hoc audit_trace
+// (obs/audit.h) is this class replayed over a finished trace.
 //
-// Same invariants as audit_trace, reformulated so nothing needs the whole
-// trace up front:
+// Invariants, formulated so nothing needs the whole trace up front:
 //  * Dead-interval predicate (Theorem 1): announcements accumulate per
 //    process; every committed dependency is checked against the
 //    announcements seen *so far* the moment it commits.
@@ -27,9 +27,13 @@
 //    it — under the original commit's witness — the moment its creation
 //    event materializes the missing parent edges.
 //  * K bound (Theorem 4) and spurious send-side holds: stateless per-event
-//    checks, identical to the batch audit.
-//  * Incarnation-bump accounting, per-process timestamp monotonicity,
-//    duplicate interval creation: per-process running state.
+//    checks.
+//  * Incarnation accounting (Theorem 1's bookkeeping): every
+//    incarnation_bump must be immediately preceded — among that process's
+//    chain-defining events — by a rollback or failure_announce. A trace
+//    with a dropped announcement fails here.
+//  * Stream sanity: per-process timestamps are non-decreasing and no state
+//    interval is created twice.
 //
 // Ordering contract: per-process event order must match emission order (the
 // ring drain and the JSONL file both guarantee this); interleaving *across*
@@ -38,7 +42,7 @@
 // safe to run against a collector thread's arbitrary drain schedule.
 //
 // Memory: the parents graph and folded-set grow with the number of state
-// intervals in the run (like the batch audit's); the recorders stay bounded,
+// intervals in the run; the recorders stay bounded,
 // the auditor does not. See DESIGN.md §6.4.
 //
 // Thread safety: internally mutexed; on_event() is single-caller (the
@@ -73,8 +77,8 @@ class LiveAudit {
   std::string first_violation() const;
   size_t events_seen() const;
 
-  /// Snapshot of the running verdict in the batch audit's report shape
-  /// (dead_intervals is recomputed on each call).
+  /// Snapshot of the running verdict (dead_intervals is recomputed on each
+  /// call).
   AuditReport report() const;
 
  private:

@@ -408,59 +408,20 @@ bool event_from_json(const JsonValue& obj, int n, ProtocolEvent& e,
 
 Trace read_trace_jsonl(std::istream& is, std::vector<std::string>& errors) {
   Trace trace;
-  std::string line;
-  size_t lineno = 0;
-  bool have_meta = false;
-  auto err = [&](const std::string& what) {
-    errors.push_back("line " + std::to_string(lineno) + ": " + what);
-  };
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    JsonValue v;
-    std::string parse_err;
-    if (!JsonParser(line).parse(v, parse_err)) {
-      err(parse_err);
-      continue;
-    }
-    if (v.type != JsonValue::Type::kObj) {
-      err("line is not a JSON object");
-      continue;
-    }
-    if (is_health_line(v)) continue;
-    if (!have_meta) {
-      const JsonValue* kind = v.find("kind");
-      if (!kind || kind->type != JsonValue::Type::kStr ||
-          kind->str != "meta") {
-        err("first line must be the meta header {\"kind\":\"meta\",...}");
-        // Keep parsing with an unknown n so later errors still surface.
-        trace.n = 1 << 20;
-        have_meta = true;
-        continue;
-      }
-      int64_t version = 0, n = 0;
-      if (!as_int64(v.find("version"), version) || version != 1) {
-        err("unsupported or missing trace version (want 1)");
-      }
-      if (!as_int64(v.find("n"), n) || n < 1) {
-        err("meta header missing a positive \"n\"");
-        n = 1 << 20;
-      }
-      trace.n = static_cast<int>(n);
-      have_meta = true;
-      continue;
-    }
-    ProtocolEvent e;
-    std::string why;
-    if (!event_from_json(v, trace.n, e, why)) {
-      err(why);
-      continue;
-    }
-    trace.events.push_back(std::move(e));
+  StreamingTraceParser parser(
+      [&](const ProtocolEvent& e) { trace.events.push_back(e); });
+  char buf[1 << 16];
+  while (is.read(buf, sizeof buf), is.gcount() > 0) {
+    parser.feed(std::string_view(buf, static_cast<size_t>(is.gcount())));
   }
-  if (!have_meta) {
-    errors.push_back("empty trace: no meta header");
-  }
+  // Strict: terminate the final line, so an unterminated fragment is parsed
+  // (and, if torn, reported as "line N: ...") like any other line rather
+  // than set aside as a tolerated torn tail.
+  parser.feed("\n");
+  parser.finish();
+  trace.n = parser.n();
+  errors.insert(errors.end(), parser.errors().begin(), parser.errors().end());
+  if (!parser.have_meta()) errors.push_back("empty trace: no meta header");
   return trace;
 }
 

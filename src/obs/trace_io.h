@@ -61,11 +61,13 @@ void write_trace_jsonl(const Recording& rec, std::ostream& os);
 /// Returns false (and writes nothing) if the file cannot be opened.
 bool write_trace_jsonl_file(const Recording& rec, const std::string& path);
 
-/// Parse and validate a JSONL trace. Schema violations are appended to
-/// `errors` as "line N: ..." strings; lines that fail validation are
-/// skipped, valid ones are kept, so a caller can both report every problem
-/// and still audit the salvageable stream. A clean parse leaves `errors`
-/// untouched.
+/// Parse and validate a whole JSONL trace by feeding it through a
+/// StreamingTraceParser. Schema violations are appended to `errors` as
+/// "line N: ..." strings; lines that fail validation are skipped, valid ones
+/// are kept, so a caller can both report every problem and still audit the
+/// salvageable stream. Strict about the end of input: a torn final line is a
+/// "line N: ..." error here, not a tolerated torn tail. A clean parse leaves
+/// `errors` untouched.
 Trace read_trace_jsonl(std::istream& is, std::vector<std::string>& errors);
 
 /// JSON string escaping (shared by the exporters).
@@ -74,11 +76,13 @@ std::string json_escape(std::string_view s);
 /// Incremental JSONL parser for traces that are still being written
 /// (koptlog_audit --follow, live re-audit of a streamed file). Feed byte
 /// chunks as they arrive; every complete line is validated and dispatched to
-/// the callback immediately, in file order. Mid-file garbage is a schema
-/// error like in read_trace_jsonl; an *unterminated final fragment* is not —
-/// it is either a line still being appended (keep feeding) or a torn tail
-/// from a crashed writer, which finish() reports separately so an auditor
-/// can tolerate it without masking real violations.
+/// the callback immediately, in file order. This is the one JSONL decoder:
+/// read_trace_jsonl drives it too. Mid-file garbage is a schema error (the
+/// meta header must come first; health sidecar lines are skipped); an
+/// *unterminated final fragment* is not — it is either a line still being
+/// appended (keep feeding) or a torn tail from a crashed writer, which
+/// finish() reports separately so an auditor can tolerate it without masking
+/// real violations.
 class StreamingTraceParser {
  public:
   using EventFn = std::function<void(const ProtocolEvent&)>;

@@ -86,6 +86,7 @@ class DiskBackend final : public StorageBackend {
     } else {
       open_fresh();
     }
+    fold_io_stats();
     if (opts_.health != nullptr) {
       HealthDomain* dom =
           opts_.health->domain("storage" + std::to_string(pid_));
@@ -163,14 +164,18 @@ class DiskBackend final : public StorageBackend {
   void on_checkpoint(const Checkpoint& cp) override {
     drain_flusher();
     fs::path path = dir_ / checkpoint_name(cp.id);
-    int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    KOPT_CHECK_MSG(fd >= 0, "cannot create " << path.string());
-    write_all(fd, disk::frame_record(RecordType::kFileHeader,
-                                     disk::encode_file_header(header())));
-    write_all(fd, disk::frame_record(RecordType::kCheckpoint,
-                                     disk::encode_checkpoint(cp, n_)));
-    do_fsync(fd);
-    ::close(fd);
+    {
+      std::lock_guard<std::mutex> lk(io_mu_);
+      int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+      KOPT_CHECK_MSG(fd >= 0, "cannot create " << path.string());
+      write_all(fd, disk::frame_record(RecordType::kFileHeader,
+                                       disk::encode_file_header(header())));
+      write_all(fd, disk::frame_record(RecordType::kCheckpoint,
+                                       disk::encode_checkpoint(cp, n_)));
+      do_fsync(fd);
+      ::close(fd);
+    }
+    fold_io_stats();
   }
 
   void on_discard_checkpoint(uint64_t id) override {
@@ -249,6 +254,7 @@ class DiskBackend final : public StorageBackend {
                                                    << r.report.errors.front());
     disk::repair_process_dir(r);
     reopen_after_analysis(r);
+    fold_io_stats();
     staged_.clear();
     staged_bytes_ = 0;
     if (g_staged_ != nullptr) g_staged_->set(0);
@@ -266,9 +272,13 @@ class DiskBackend final : public StorageBackend {
   }
 
   void quiesce() override {
-    std::unique_lock<std::mutex> lk(mu_);
-    drained_cv_.wait(lk, [this] { return jobs_.empty() && in_flight_ == 0; });
-    posting_enabled_ = false;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      drained_cv_.wait(lk,
+                       [this] { return jobs_.empty() && in_flight_ == 0; });
+      posting_enabled_ = false;
+    }
+    fold_io_stats();  // the last batches' completions will never run
   }
 
  private:
@@ -289,6 +299,11 @@ class DiskBackend final : public StorageBackend {
   struct SegmentRt {
     uint64_t index = 0;
     size_t max_msg_pos = 0;
+  };
+  struct IoCounts {
+    int64_t bytes_written = 0;
+    int64_t fsyncs = 0;
+    int64_t segments_rolled = 0;
   };
 
   disk::FileHeader header(uint64_t start_lsn = 0) const {
@@ -342,7 +357,7 @@ class DiskBackend final : public StorageBackend {
     if (h_window_ != nullptr) h_window_->observe(written);
     // Publish the batch's position bound BEFORE the write is issued or
     // handed to the flusher: under threaded_io the flusher reads
-    // seg_max_msg_pos_/next_start_lsn_ inside write_wal_now (under io_mu_),
+    // seg_max_msg_pos_/next_start_lsn_ inside append_wal (under io_mu_),
     // so the update must happen under the same lock here on the staging
     // thread — the old unlocked note_msg_pos raced the flusher's segment
     // roll.
@@ -376,7 +391,7 @@ class DiskBackend final : public StorageBackend {
         jobs_.pop_front();
         ++in_flight_;
       }
-      if (!job.bytes.empty()) write_wal_now(std::move(job.bytes));
+      if (!job.bytes.empty()) append_wal(std::move(job.bytes));
       {
         std::lock_guard<std::mutex> lk(mu_);
         if (posting_enabled_) {
@@ -385,7 +400,8 @@ class DiskBackend final : public StorageBackend {
           auto dones = std::make_shared<std::vector<FlushDone>>(
               std::move(job.dones));
           size_t upto = job.flush_upto;
-          sched_.schedule_at(job.handoff, [dones, upto] {
+          sched_.schedule_at(job.handoff, [this, dones, upto] {
+            fold_io_stats();
             for (FlushDone& d : *dones) d(upto);
           });
         }
@@ -461,15 +477,16 @@ class DiskBackend final : public StorageBackend {
   }
 
   /// Append `bytes` to the WAL and fsync, rolling the segment first when
-  /// it is over the size bound.
-  void write_wal_now(std::vector<uint8_t> bytes) {
+  /// it is over the size bound. Runs on the flusher thread under
+  /// threaded_io; the owning thread calls write_wal_now instead.
+  void append_wal(std::vector<uint8_t> bytes) {
     std::lock_guard<std::mutex> lk(io_mu_);
     if (c_bytes_ != nullptr) c_bytes_->inc(bytes.size());
     if (seg_written_ >= opts_.segment_bytes) {
       segments_.back().max_msg_pos = seg_max_msg_pos_;
       do_fsync(wal_fd_);
       open_segment_locked(seg_index_ + 1, next_start_lsn_);
-      if (stats_) stats_->inc("storage.segments_rolled");
+      ++io_.segments_rolled;
       if (c_rolls_ != nullptr) c_rolls_->inc();
     }
     write_all(wal_fd_, bytes);
@@ -479,10 +496,37 @@ class DiskBackend final : public StorageBackend {
     do_fsync(wal_fd_);
   }
 
+  void write_wal_now(std::vector<uint8_t> bytes) {
+    append_wal(std::move(bytes));
+    fold_io_stats();
+  }
+
   void write_journal_now(const std::vector<uint8_t>& bytes) {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    write_all(journal_fd_, bytes);
-    do_fsync(journal_fd_);
+    {
+      std::lock_guard<std::mutex> lk(io_mu_);
+      write_all(journal_fd_, bytes);
+      do_fsync(journal_fd_);
+    }
+    fold_io_stats();
+  }
+
+  /// Move the I/O counts into the process's Stats bag. That bag is confined
+  /// to the owning (shard) thread, so the flusher never touches it: it only
+  /// adds to io_ under io_mu_, and every owning-thread path that does I/O,
+  /// a flush completion, and quiesce() fold io_ in here. Without threaded_io
+  /// each operation folds its own counts before it returns.
+  void fold_io_stats() {
+    if (stats_ == nullptr) return;
+    IoCounts c;
+    {
+      std::lock_guard<std::mutex> lk(io_mu_);
+      c = std::exchange(io_, IoCounts{});
+    }
+    if (c.bytes_written != 0)
+      stats_->inc("storage.bytes_written", c.bytes_written);
+    if (c.fsyncs != 0) stats_->inc("storage.fsyncs", c.fsyncs);
+    if (c.segments_rolled != 0)
+      stats_->inc("storage.segments_rolled", c.segments_rolled);
   }
 
   /// Track the highest message position headed for the current segment and
@@ -506,8 +550,7 @@ class DiskBackend final : public StorageBackend {
       KOPT_CHECK_MSG(w > 0, "storage write failed for P" << pid_);
       off += static_cast<size_t>(w);
     }
-    if (stats_) stats_->inc("storage.bytes_written",
-                            static_cast<int64_t>(bytes.size()));
+    io_.bytes_written += static_cast<int64_t>(bytes.size());
   }
 
   void do_fsync(int fd) {
@@ -521,7 +564,7 @@ class DiskBackend final : public StorageBackend {
     } else {
       KOPT_CHECK_MSG(::fsync(fd) == 0, "fsync failed for P" << pid_);
     }
-    if (stats_) stats_->inc("storage.fsyncs");
+    ++io_.fsyncs;
   }
 
   const StorageOptions opts_;
@@ -555,6 +598,7 @@ class DiskBackend final : public StorageBackend {
   size_t seg_max_msg_pos_ = 0;
   uint64_t next_start_lsn_ = 0;
   std::deque<SegmentRt> segments_;
+  IoCounts io_;  ///< not yet folded into stats_ (see fold_io_stats)
 
   // Flusher thread (threaded_io only).
   std::thread flusher_;

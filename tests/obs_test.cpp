@@ -370,12 +370,32 @@ TEST(TraceIoTest, MissingOrBadHeaderIsAnError) {
   }
 }
 
+TEST(TraceIoTest, StrictReaderReportsTornFinalLineAsLineError) {
+  // Only koptlog_audit tolerates a torn tail; read_trace_jsonl is strict,
+  // so the fragment is a numbered error and the lines before it are kept.
+  std::string text =
+      "{\"kind\":\"meta\",\"version\":1,\"n\":2}\n"
+      "{\"kind\":\"checkpoint\",\"t\":2,\"p\":1,\"seq\":0,\"at\":[0,1],"
+      "\"tdv\":[]}\n"
+      "{\"kind\":\"checkpoint\",\"t\":3,\"p\":0,\"se";  // writer died here
+  std::istringstream is(text);
+  std::vector<std::string> errors;
+  Trace trace = read_trace_jsonl(is, errors);
+  EXPECT_EQ(trace.n, 2);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].pid, 1);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].rfind("line 3: ", 0), 0u) << errors[0];
+}
+
 TEST(StreamingTraceParserTest, ChunkedFeedMatchesBatchReader) {
   const int n = 3;
   std::vector<ProtocolEvent> events = one_of_each(n);
   std::ostringstream os;
   write_trace_jsonl(n, events, os);
   const std::string text = os.str();
+  // Compared against the events that were written, not against
+  // read_trace_jsonl (which is built on this parser).
   std::vector<ProtocolEvent> streamed;
   StreamingTraceParser parser(
       [&](const ProtocolEvent& e) { streamed.push_back(e); });

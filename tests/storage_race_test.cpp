@@ -17,7 +17,13 @@
 // threaded), where the old code fails deterministically.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "app/workloads.h"
@@ -25,6 +31,9 @@
 #include "exec/threaded_cluster.h"
 #include "obs/audit.h"
 #include "obs/health/health.h"
+#include "sim/scheduler.h"
+#include "sim/stats.h"
+#include "storage/disk/disk_backend.h"
 
 namespace koptlog {
 namespace {
@@ -33,7 +42,8 @@ constexpr double kFastScale = 0.02;
 
 TEST(StorageRaceTest, ThreadedIoSegmentRollsUnderConcurrentStaging) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "koptlog_storage_race_test";
+  fs::path dir = fs::temp_directory_path() /
+                 ("koptlog_storage_race_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -89,6 +99,89 @@ TEST(StorageRaceTest, ThreadedIoSegmentRollsUnderConcurrentStaging) {
   std::string violations;
   for (const auto& v : rep.violations) violations += v + "\n";
   EXPECT_TRUE(rep.ok()) << violations;
+  fs::remove_all(dir);
+}
+
+// The flusher's own I/O counts (bytes written, fsyncs, segment rolls) once
+// went straight into the process's Stats bag from the flusher thread. That
+// bag is confined to the owning shard, which keeps adding to it meanwhile:
+// a data race on the map. Here the test thread plays the shard, driving one
+// backend by hand and inserting into the bag while each batch is on the
+// flusher; TSan flagged the old code on the first window. The threaded
+// totals must also equal the inline ones for the same operations.
+class ManualScheduler final : public Scheduler {
+ public:
+  SimTime now() const override { return 0; }
+  SeqNo schedule_at(SimTime, Action fn) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    queue_.push_back(std::move(fn));
+    cv_.notify_all();
+    return seq_++;
+  }
+  /// Run the next queued action on the calling thread, waiting for one if
+  /// none is queued yet (the flusher posts completions).
+  void run_one() {
+    Action fn;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return !queue_.empty(); });
+      fn = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    fn();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Action> queue_;
+  SeqNo seq_ = 0;
+};
+
+Stats drive_disk_backend(const std::filesystem::path& dir, bool threaded_io) {
+  constexpr int kN = 2;
+  StorageOptions opts;
+  opts.backend = "disk";
+  opts.dir = dir.string();
+  opts.threaded_io = threaded_io;
+  opts.segment_bytes = 256;  // roll on the flusher every few batches
+  ManualScheduler sched;
+  Stats stats;
+  std::unique_ptr<StorageBackend> backend =
+      make_disk_backend(opts, 0, kN, sched, &stats);
+  size_t pos = 0;
+  size_t durable = 0;
+  for (int window = 0; window < 16; ++window) {
+    for (int i = 0; i < 4; ++i, ++pos) {
+      LogRecord rec;
+      rec.msg.id = MsgId{1, static_cast<SeqNo>(pos)};
+      rec.msg.from = 1;
+      rec.msg.tdv = DepVector(kN);
+      rec.msg.born_of = IntervalId{1, 0, static_cast<Sii>(pos)};
+      rec.started = IntervalId{0, 0, static_cast<Sii>(pos + 1)};
+      backend->on_append(pos, rec);
+    }
+    backend->request_flush(pos, 0, [&](size_t upto) { durable = upto; });
+    sched.run_one();  // the group-commit window fires
+    // The shard goes on counting while the batch is (maybe) on the flusher.
+    stats.inc("shard.window." + std::to_string(window));
+    while (durable != pos) sched.run_one();
+  }
+  backend->quiesce();
+  return stats;
+}
+
+TEST(StorageRaceTest, FlusherIoCountsStayOffTheShardStatsBag) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() /
+                 ("koptlog_flusher_stats_" + std::to_string(::getpid()));
+  Stats inline_io = drive_disk_backend(dir / "inline", false);
+  Stats flusher_io = drive_disk_backend(dir / "threaded", true);
+  for (const char* key :
+       {"storage.bytes_written", "storage.fsyncs", "storage.segments_rolled"}) {
+    EXPECT_GT(inline_io.counter(key), 0) << key;
+    EXPECT_EQ(flusher_io.counter(key), inline_io.counter(key)) << key;
+  }
   fs::remove_all(dir);
 }
 

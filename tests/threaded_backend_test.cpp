@@ -3,6 +3,7 @@
 // These run in their own executable (ctest label "threaded") so the
 // sanitize script can put exactly this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -567,7 +568,9 @@ TEST(CrossShardRecoveryTest, BothBackendsAuditIdenticallyClean) {
 // the shard event loops. Runs under TSan via scripts/sanitize_tests.sh.
 TEST(ThreadedClusterTest, DiskBackendMultiFailureRunAuditsOk) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "koptlog_threaded_disk_test";
+  // Per-run directory: parallel copies of this test must not share files.
+  fs::path dir = fs::temp_directory_path() /
+                 ("koptlog_threaded_disk_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -581,13 +584,21 @@ TEST(ThreadedClusterTest, DiskBackendMultiFailureRunAuditsOk) {
   cfg.protocol.storage_backend.threaded_io = true;
   ThreadedOptions opt;
   opt.shards = 2;
-  opt.time_scale = kFastScale;
+  // Async flushes (and so storage_flush events) are only requested by the
+  // periodic timer, which drain() stops. The load window must therefore
+  // really run before drain(): at kFastScale it lasted 8 ms of real time,
+  // less than building a disk-backed cluster takes under TSan or load. So
+  // the window is 40 ms of real time, and starts at now, not at the clock's
+  // zero (construction time).
+  opt.time_scale = 0.1;
   ThreadedCluster cluster(cfg, opt, make_uniform_app({}));
   cluster.start();
+  const SimTime t0 = cluster.now_us();
   const SimTime load_end = 400'000;
-  inject_uniform_load(cluster, 60, 1'000, load_end, /*ttl=*/6, 42);
-  apply_failure_plan(cluster, FailurePlan::random(Rng(41).fork("fail"), cfg.n,
-                                                  2, load_end / 10, load_end));
+  inject_uniform_load(cluster, 60, t0 + 1'000, t0 + load_end, /*ttl=*/6, 42);
+  apply_failure_plan(cluster,
+                     FailurePlan::random(Rng(41).fork("fail"), cfg.n, 2,
+                                         t0 + load_end / 10, t0 + load_end));
   cluster.run_for(load_end);
   cluster.drain();
   cluster.shutdown();

@@ -5,7 +5,9 @@
 //   * no committed output depends, transitively, on a state interval later
 //     announced lost (Theorems 1-3), and
 //   * every send-buffer release honored its K bound (Theorem 4),
-// plus incarnation accounting and stream sanity (see src/obs/audit.h).
+// plus incarnation accounting and stream sanity (see src/obs/live_audit.h).
+// Violations cite the offending event by its stable id:
+//   P1#999999 t=99999999: output 1:999999 committed with dead dependency ...
 //
 //   koptlog_sim --n 6 --failures 2 --trace-out run.jsonl
 //   koptlog_audit run.jsonl
@@ -15,15 +17,16 @@
 // never a failure on its own — only schema errors in the body or real
 // invariant violations are.
 //
-// --follow tails a growing file, feeding the online auditor (the same one
-// koptlog_sim --live-audit runs in-process) and exits nonzero the moment a
-// violation appears, citing the offending event's stable id. It stops once
-// the file has been idle for --idle-timeout-ms.
+// Both modes feed the same online auditor (the one koptlog_sim --live-audit
+// runs in-process). --follow tails a growing file and exits nonzero the
+// moment a violation appears; it stops once the file has been idle for
+// --idle-timeout-ms.
 //
 // Exit status: 0 clean, 1 schema errors or invariant violations, 2 usage.
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +38,13 @@
 using namespace koptlog;
 
 namespace {
+
+struct Options {
+  bool parse_only = false;
+  bool quiet = false;
+  bool follow = false;
+  int64_t idle_timeout_ms = 3000;
+};
 
 [[noreturn]] void usage() {
   std::cout
@@ -52,169 +62,121 @@ namespace {
   std::exit(2);
 }
 
+// Lists up to 20 items, then how many more there are.
+void print_capped(const std::vector<std::string>& items) {
+  size_t shown = 0;
+  for (const std::string& item : items) {
+    if (++shown > 20) {
+      std::cerr << "  ... (" << items.size() - 20 << " more)\n";
+      break;
+    }
+    std::cerr << "  " << item << "\n";
+  }
+}
+
 int print_errors(const std::string& path,
                  const std::vector<std::string>& errors) {
   std::cerr << "koptlog_audit: " << errors.size() << " schema error(s) in "
             << path << ":\n";
-  size_t shown = 0;
-  for (const std::string& e : errors) {
-    if (++shown > 20) {
-      std::cerr << "  ... (" << errors.size() - 20 << " more)\n";
-      break;
-    }
-    std::cerr << "  " << e << "\n";
-  }
+  print_capped(errors);
   return 1;
 }
 
-void warn_torn(const std::string& path, const StreamingTraceParser& parser) {
-  if (!parser.torn_tail().empty()) {
-    std::cerr << "koptlog_audit: warning: " << path
-              << " ends mid-line (" << parser.torn_tail().size()
-              << " bytes of torn final line ignored)\n";
-  }
-}
-
-int follow(const std::string& path, bool quiet, int64_t idle_timeout_ms) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::cerr << "koptlog_audit: cannot open " << path << "\n";
-    return 2;
-  }
-
-  // n isn't known until the meta header parses; size the auditor lazily and
-  // hold any events that land in the same read chunk as the header.
+// One parse-and-audit path for both modes: the streaming parser feeds the
+// online auditor as lines complete. Batch mode reads to end of input once;
+// --follow keeps polling for growth and stops at the first schema error or
+// violation.
+int audit_stream(std::istream& in, const std::string& path,
+                 const Options& opt) {
+  // n isn't known until the meta header parses, so the auditor is sized on
+  // the first event (events only flow after the header). A schema error
+  // fails the run anyway, so auditing stops there.
   std::unique_ptr<LiveAudit> audit;
-  std::vector<ProtocolEvent> pending;
   StreamingTraceParser parser([&](const ProtocolEvent& e) {
-    if (audit != nullptr) audit->on_event(e);
-    else pending.push_back(e);
+    if (opt.parse_only || !parser.errors().empty()) return;
+    if (audit == nullptr) audit = std::make_unique<LiveAudit>(parser.n());
+    audit->on_event(e);
   });
 
   using Clock = std::chrono::steady_clock;
   auto last_growth = Clock::now();
   char buf[1 << 16];
-  bool done = false;
-  while (!done) {
+  for (;;) {
     bool grew = false;
-    for (;;) {
-      file.read(buf, sizeof buf);
-      std::streamsize got = file.gcount();
-      if (got <= 0) break;
+    while (in.read(buf, sizeof buf), in.gcount() > 0) {
       grew = true;
-      parser.feed(std::string_view(buf, (size_t)got));
-      if (audit == nullptr && parser.have_meta()) {
-        audit = std::make_unique<LiveAudit>(parser.n());
-        for (const ProtocolEvent& e : pending) audit->on_event(e);
-        pending.clear();
-      }
+      parser.feed(std::string_view(buf, static_cast<size_t>(in.gcount())));
+      if (!opt.follow) continue;
       if (!parser.errors().empty()) return print_errors(path, parser.errors());
       if (audit != nullptr && !audit->ok()) {
-        std::cerr << "koptlog_audit: VIOLATION after "
-                  << audit->events_seen() << " events:\n  "
-                  << audit->first_violation() << "\n";
+        std::cerr << "koptlog_audit: VIOLATION after " << audit->events_seen()
+                  << " events:\n  " << audit->first_violation() << "\n";
         return 1;
       }
     }
+    if (!opt.follow) break;
     if (grew) {
       last_growth = Clock::now();
     } else if (Clock::now() - last_growth >
-               std::chrono::milliseconds(idle_timeout_ms)) {
-      done = true;
+               std::chrono::milliseconds(opt.idle_timeout_ms)) {
+      break;
     }
-    if (!done) {
-      file.clear();  // drop eofbit so the next read sees appended bytes
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    in.clear();  // drop eofbit so the next read sees appended bytes
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
   parser.finish();
   if (!parser.errors().empty()) return print_errors(path, parser.errors());
-  warn_torn(path, parser);
-  if (audit == nullptr) {
+  if (!parser.torn_tail().empty()) {
+    std::cerr << "koptlog_audit: warning: " << path << " ends mid-line ("
+              << parser.torn_tail().size()
+              << " bytes of torn final line ignored)\n";
+  }
+  if (!parser.have_meta()) {
     std::cerr << "koptlog_audit: " << path << ": no meta header seen\n";
     return 1;
   }
+  if (opt.parse_only) {
+    if (!opt.quiet)
+      std::cout << "schema OK: " << parser.events_parsed() << " events, n="
+                << parser.n() << "\n";
+    return 0;
+  }
+  if (audit == nullptr) audit = std::make_unique<LiveAudit>(parser.n());
   AuditReport rep = audit->report();
   if (!rep.ok()) {
-    std::cerr << rep.summary() << "\n  " << audit->first_violation() << "\n";
+    std::cerr << rep.summary() << "\n";
+    print_capped(rep.violations);
     return 1;
   }
-  if (!quiet) std::cout << rep.summary() << "\n";
+  if (!opt.quiet) std::cout << rep.summary() << "\n";
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool parse_only = false;
-  bool quiet = false;
-  bool do_follow = false;
-  int64_t idle_timeout_ms = 3000;
+  Options opt;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     std::string f = argv[i];
-    if (f == "--parse-only") parse_only = true;
-    else if (f == "--quiet") quiet = true;
-    else if (f == "--follow") do_follow = true;
+    if (f == "--parse-only") opt.parse_only = true;
+    else if (f == "--quiet") opt.quiet = true;
+    else if (f == "--follow") opt.follow = true;
     else if (f == "--idle-timeout-ms" && i + 1 < argc)
-      idle_timeout_ms = std::stoll(argv[++i]);
+      opt.idle_timeout_ms = std::stoll(argv[++i]);
     else if (f == "--help" || f == "-h") usage();
     else if (!path.empty()) usage();
     else path = f;
   }
   if (path.empty()) usage();
-  if (do_follow && (path == "-" || parse_only)) usage();
+  if (opt.follow && (path == "-" || opt.parse_only)) usage();
 
-  if (do_follow) return follow(path, quiet, idle_timeout_ms);
-
-  std::ifstream file;
-  std::istream* in = &std::cin;
-  if (path != "-") {
-    file.open(path, std::ios::binary);
-    if (!file) {
-      std::cerr << "koptlog_audit: cannot open " << path << "\n";
-      return 2;
-    }
-    in = &file;
+  if (path == "-") return audit_stream(std::cin, path, opt);
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    std::cerr << "koptlog_audit: cannot open " << path << "\n";
+    return 2;
   }
-
-  Trace trace;
-  StreamingTraceParser parser(
-      [&](const ProtocolEvent& e) { trace.events.push_back(e); });
-  char buf[1 << 16];
-  while (in->read(buf, sizeof buf), in->gcount() > 0) {
-    parser.feed(std::string_view(buf, (size_t)in->gcount()));
-  }
-  parser.finish();
-  trace.n = parser.n();
-
-  if (!parser.errors().empty()) return print_errors(path, parser.errors());
-  warn_torn(path, parser);
-  if (!parser.have_meta()) {
-    std::cerr << "koptlog_audit: " << path << ": no meta header seen\n";
-    return 1;
-  }
-  if (parse_only) {
-    if (!quiet)
-      std::cout << "schema OK: " << trace.events.size() << " events, n="
-                << trace.n << "\n";
-    return 0;
-  }
-
-  AuditReport rep = audit_trace(trace);
-  if (!rep.ok()) {
-    std::cerr << rep.summary() << "\n";
-    size_t shown = 0;
-    for (const std::string& v : rep.violations) {
-      if (++shown > 20) {
-        std::cerr << "  ... (" << rep.violations.size() - 20 << " more)\n";
-        break;
-      }
-      std::cerr << "  " << v << "\n";
-    }
-    return 1;
-  }
-  if (!quiet) std::cout << rep.summary() << "\n";
-  return 0;
+  return audit_stream(file, path, opt);
 }
