@@ -41,6 +41,23 @@ if "$BUILD_DIR/tools/koptlog_audit" --parse-only --quiet "$TMP/corrupt.jsonl"; t
 fi
 echo "rejected, as it must be"
 
+echo "== negative: a deeply nested line is a diagnostic, not a crash"
+# One line opening a million arrays: a recursive reader runs out of stack
+# here; the strict reader must stop at its nesting bound and exit 1.
+{ printf '{"kind":"meta","x":'; printf '%*s\n' 1000000 '' | tr ' ' '['; } \
+  > "$TMP/deep.jsonl"
+set +e
+"$BUILD_DIR/tools/koptlog_audit" --parse-only "$TMP/deep.jsonl" \
+  > "$TMP/deep.out" 2>&1
+rc=$?
+set -e
+if [[ $rc -ne 1 ]] || ! grep -q "nesting too deep" "$TMP/deep.out"; then
+  echo "FAIL: deep nesting gave exit $rc:" >&2
+  head -c 500 "$TMP/deep.out" >&2
+  exit 1
+fi
+echo "rejected with: $(grep -o 'nesting too deep at offset [0-9]*' "$TMP/deep.out")"
+
 echo "== negative: a dropped failure announcement must fail the audit"
 grep -v '"kind":"failure_announce"' "$TRACE" > "$TMP/no_announce.jsonl"
 if "$BUILD_DIR/tools/koptlog_audit" --quiet "$TMP/no_announce.jsonl"; then

@@ -61,5 +61,5 @@ else
   # gate on. Everything else still runs in the regular (unsanitized) job.
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'SendBuffer|ReceiveBuffer|OutputBuffer|ReliableChannel|ReplayEngine|Figure1|Determinism|EventKind|EventRecorder|Recording|RingRecorder|StreamingTraceParser|TraceIo|TraceGolden|Export|Audit|CodecFuzz'
+    -R 'SendBuffer|ReceiveBuffer|OutputBuffer|ReliableChannel|ReplayEngine|Figure1|Determinism|EventKind|EventRecorder|Recording|RingRecorder|StreamingTraceParser|TraceIo|TraceDecoder|JsonParser|TraceGolden|Export|Audit|CodecFuzz'
 fi

@@ -100,8 +100,11 @@ struct RecordingOptions {
 };
 
 /// One recorder per process, mergeable into a single causally-ordered
-/// stream: merged() sorts by (t, pid, seq), which is a deterministic total
-/// order (per-process streams are already time- and seq-ordered).
+/// stream: merged() orders by (t, pid, seq), which is a deterministic total
+/// order. Per-process streams are already time- and seq-ordered, so it is a
+/// k-way merge of the streams, one copy per event and no whole-stream sort;
+/// a stream found out of order is stable-sorted alone first, so the result
+/// always equals a stable sort of the concatenated streams.
 class Recording {
  public:
   explicit Recording(int n) : Recording(n, RecordingOptions{}) {}

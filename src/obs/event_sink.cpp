@@ -21,7 +21,10 @@ JsonlWriterSink::JsonlWriterSink(const std::string& path, int n) : out_(path) {
 
 void JsonlWriterSink::on_event(const ProtocolEvent& e) {
   if (!ok_) return;
-  out_ << event_to_json(e) << '\n';
+  line_.clear();
+  append_event_json(line_, e);
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++events_written_;
 }
 

@@ -55,6 +55,7 @@ class JsonlWriterSink final : public EventSink {
 
  private:
   std::ofstream out_;
+  std::string line_;  ///< reused for every event's line
   bool ok_ = false;
   uint64_t events_written_ = 0;
 };

@@ -2,14 +2,14 @@
 
 #include "obs/json.h"
 
-#include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 namespace koptlog {
@@ -43,6 +43,12 @@ std::string json_escape(std::string_view s) {
 
 namespace {
 
+template <typename Int>
+void put_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 void append_tdv(std::string& out, const DepVector& tdv) {
   out += ",\"tdv\":[";
   bool first = true;
@@ -50,11 +56,11 @@ void append_tdv(std::string& out, const DepVector& tdv) {
     if (!first) out += ',';
     first = false;
     out += '[';
-    out += std::to_string(j);
+    put_int(out, j);
     out += ',';
-    out += std::to_string(e.inc);
+    put_int(out, e.inc);
     out += ',';
-    out += std::to_string(e.sii);
+    put_int(out, e.sii);
     out += ']';
   });
   out += ']';
@@ -62,50 +68,61 @@ void append_tdv(std::string& out, const DepVector& tdv) {
 
 void append_msg(std::string& out, const MsgId& id) {
   out += ",\"msg\":[";
-  out += std::to_string(id.src);
+  put_int(out, id.src);
   out += ',';
-  out += std::to_string(id.seq);
+  put_int(out, id.seq);
   out += ']';
 }
 
 void append_ref(std::string& out, const IntervalId& ref) {
   out += ",\"ref\":[";
-  out += std::to_string(ref.pid);
+  put_int(out, ref.pid);
   out += ',';
-  out += std::to_string(ref.inc);
+  put_int(out, ref.inc);
   out += ',';
-  out += std::to_string(ref.sii);
+  put_int(out, ref.sii);
   out += ']';
 }
 
 void append_peer(std::string& out, ProcessId peer) {
   out += ",\"peer\":";
-  out += std::to_string(peer);
+  put_int(out, peer);
 }
 
 void append_entry(std::string& out, const char* key, const Entry& e) {
   out += ",\"";
   out += key;
   out += "\":[";
-  out += std::to_string(e.inc);
+  put_int(out, e.inc);
   out += ',';
-  out += std::to_string(e.sii);
+  put_int(out, e.sii);
   out += ']';
+}
+
+void append_int(std::string& out, const char* key, int64_t v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  put_int(out, v);
+}
+
+void append_meta(std::string& out, int n) {
+  out += "{\"kind\":\"meta\",\"version\":1,\"n\":";
+  put_int(out, n);
+  out += "}\n";
 }
 
 }  // namespace
 
-std::string event_to_json(const ProtocolEvent& e) {
-  std::string out;
-  out.reserve(160);
+void append_event_json(std::string& out, const ProtocolEvent& e) {
   out += "{\"kind\":\"";
   out += event_kind_name(e.kind);
   out += "\",\"t\":";
-  out += std::to_string(e.t);
+  put_int(out, e.t);
   out += ",\"p\":";
-  out += std::to_string(e.pid);
+  put_int(out, e.pid);
   out += ",\"seq\":";
-  out += std::to_string(e.seq);
+  put_int(out, e.seq);
   append_entry(out, "at", e.at);
   switch (e.kind) {
     case EventKind::kSend:
@@ -113,8 +130,7 @@ std::string event_to_json(const ProtocolEvent& e) {
       append_peer(out, e.peer);
       append_ref(out, e.ref);
       append_tdv(out, e.tdv);
-      out += ",\"klim\":";
-      out += std::to_string(e.k_limit);
+      append_int(out, "klim", e.k_limit);
       break;
     case EventKind::kDeliver:
       append_msg(out, e.msg);
@@ -127,20 +143,16 @@ std::string event_to_json(const ProtocolEvent& e) {
       out += ",\"queue\":\"";
       out += e.recv_side ? "recv" : "send";
       out += '"';
-      out += ",\"klim\":";
-      out += std::to_string(e.k_limit);
-      out += ",\"krea\":";
-      out += std::to_string(e.k_reached);
+      append_int(out, "klim", e.k_limit);
+      append_int(out, "krea", e.k_reached);
       break;
     case EventKind::kBufferRelease:
       append_msg(out, e.msg);
       append_peer(out, e.peer);
       append_ref(out, e.ref);
       append_tdv(out, e.tdv);
-      out += ",\"klim\":";
-      out += std::to_string(e.k_limit);
-      out += ",\"krea\":";
-      out += std::to_string(e.k_reached);
+      append_int(out, "klim", e.k_limit);
+      append_int(out, "krea", e.k_reached);
       break;
     case EventKind::kCheckpoint:
       append_tdv(out, e.tdv);
@@ -152,8 +164,7 @@ std::string event_to_json(const ProtocolEvent& e) {
       break;
     case EventKind::kRollback:
       append_entry(out, "ended", e.ended);
-      out += ",\"undone\":";
-      out += std::to_string(e.undone);
+      append_int(out, "undone", e.undone);
       break;
     case EventKind::kOutputCommit:
       append_msg(out, e.msg);
@@ -169,22 +180,37 @@ std::string event_to_json(const ProtocolEvent& e) {
     case EventKind::kStorageFlush:
     case EventKind::kStorageRecover:
     case EventKind::kProgressNotify:
-      out += ",\"lsn\":";
-      out += std::to_string(e.lsn);
+      append_int(out, "lsn", e.lsn);
       break;
     case EventKind::kRecorderDrop:
-      out += ",\"lost\":";
-      out += std::to_string(e.undone);
+      append_int(out, "lost", e.undone);
       break;
   }
   out += '}';
+}
+
+std::string event_to_json(const ProtocolEvent& e) {
+  std::string out;
+  append_event_json(out, e);
   return out;
 }
 
 void write_trace_jsonl(int n, const std::vector<ProtocolEvent>& events,
                        std::ostream& os) {
-  os << "{\"kind\":\"meta\",\"version\":1,\"n\":" << n << "}\n";
-  for (const ProtocolEvent& e : events) os << event_to_json(e) << '\n';
+  // One buffer for the whole stream, handed to the stream in 64 KiB blocks.
+  constexpr size_t kBlock = 1 << 16;
+  std::string buf;
+  buf.reserve(kBlock + 4096);
+  append_meta(buf, n);
+  for (const ProtocolEvent& e : events) {
+    append_event_json(buf, e);
+    buf += '\n';
+    if (buf.size() >= kBlock) {
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
+  }
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_trace_jsonl(const Recording& rec, std::ostream& os) {
@@ -199,209 +225,304 @@ bool write_trace_jsonl_file(const Recording& rec, const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: built on the shared JSON parser in obs/json.h
+// Reading: a single-pass decoder of the trace schema on obs/json.h's lexer
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// ---- field extraction with validation ----
+// Every key the schema reads. A line is walked once, left to right: the
+// first occurrence of each of these keys is decoded where it stands (a
+// duplicate never shadows it), and every other value is validated and
+// skipped, so unknown extra fields stay tolerated.
+enum Field : int {
+  kKind, kT, kP, kSeq, kAt, kMsg, kPeer, kRef, kTdv, kKlim, kKrea, kQueue,
+  kEnded, kFail, kUndone, kLsn, kLost, kVersion, kN, kNoField
+};
 
-bool as_int64(const JsonValue* v, int64_t& out) {
-  return json_as_int64(v, out);
-}
+constexpr std::string_view kFieldName[kNoField] = {
+    "kind", "t",     "p",    "seq",  "at",     "msg",  "peer",
+    "ref",  "tdv",   "klim", "krea", "queue",  "ended", "fail",
+    "undone", "lsn", "lost", "version", "n"};
 
-// Health sidecar lines (obs/health/health_io.h) may be interleaved with a
-// trace when both are pointed at the same file; they are runtime telemetry,
-// not protocol events, so the trace readers skip them silently.
-bool is_health_line(const JsonValue& v) {
-  const JsonValue* kind = v.find("kind");
-  return kind && kind->type == JsonValue::Type::kStr &&
-         (kind->str == "health" || kind->str == "health_meta");
-}
-
-bool as_entry(const JsonValue* v, Entry& out) {
-  if (!v || v->type != JsonValue::Type::kArr || v->arr.size() != 2)
-    return false;
-  int64_t inc = 0, sii = 0;
-  if (!as_int64(&v->arr[0], inc) || !as_int64(&v->arr[1], sii)) return false;
-  out.inc = static_cast<Incarnation>(inc);
-  out.sii = sii;
-  return true;
-}
-
-bool as_interval(const JsonValue* v, IntervalId& out) {
-  if (!v || v->type != JsonValue::Type::kArr || v->arr.size() != 3)
-    return false;
-  int64_t pid = 0, inc = 0, sii = 0;
-  if (!as_int64(&v->arr[0], pid) || !as_int64(&v->arr[1], inc) ||
-      !as_int64(&v->arr[2], sii))
-    return false;
-  out.pid = static_cast<ProcessId>(pid);
-  out.inc = static_cast<Incarnation>(inc);
-  out.sii = sii;
-  return true;
-}
-
-bool as_msg(const JsonValue* v, MsgId& out) {
-  if (!v || v->type != JsonValue::Type::kArr || v->arr.size() != 2)
-    return false;
-  int64_t src = 0, seq = 0;
-  if (!as_int64(&v->arr[0], src) || !as_int64(&v->arr[1], seq)) return false;
-  out.src = static_cast<ProcessId>(src);
-  out.seq = static_cast<SeqNo>(seq);
-  return true;
-}
-
-bool as_tdv(const JsonValue* v, int n, DepVector& out, std::string& why) {
-  if (!v || v->type != JsonValue::Type::kArr) {
-    why = "tdv must be an array of [pid,inc,sii] triples";
-    return false;
+Field field_named(std::string_view key) {
+  // Dispatch on length and first byte, then one compare.
+  Field f = kNoField;
+  switch (key.size()) {
+    case 1: f = key[0] == 't' ? kT : key[0] == 'p' ? kP : kN; break;
+    case 2: f = kAt; break;
+    case 3:
+      f = key[0] == 's' ? kSeq : key[0] == 'm' ? kMsg : key[0] == 'r' ? kRef
+        : key[0] == 't' ? kTdv : kLsn;
+      break;
+    case 4:
+      f = key[0] == 'p' ? kPeer : key[0] == 'f' ? kFail
+        : key[0] == 'l' ? kLost : key[1] == 'i' ? kKind
+        : key[1] == 'l' ? kKlim : kKrea;
+      break;
+    case 5: f = key[0] == 'q' ? kQueue : kEnded; break;
+    case 6: f = kUndone; break;
+    case 7: f = kVersion; break;
   }
-  out = DepVector(n);
-  for (const JsonValue& item : v->arr) {
-    IntervalId iv;
-    if (!as_interval(&item, iv)) {
-      why = "malformed tdv entry";
-      return false;
+  return f != kNoField && kFieldName[f] == key ? f : kNoField;
+}
+
+/// Integers a field holds: scalars 1, [inc,sii] and [src,seq] 2, [pid,inc,
+/// sii] 3; 0 for the string, boolean and tdv fields.
+int arity(Field f) {
+  switch (f) {
+    case kAt: case kMsg: case kEnded: return 2;
+    case kRef: return 3;
+    case kKind: case kQueue: case kFail: case kTdv: case kNoField: return 0;
+    default: return 1;
+  }
+}
+
+bool fits_i32(int64_t v) {
+  return v >= std::numeric_limits<int32_t>::min() &&
+         v <= std::numeric_limits<int32_t>::max();
+}
+
+constexpr const char* kTdvShape =
+    "tdv must be an array of [pid,inc,sii] triples";
+
+/// What one line held: the values of the first occurrence of each known
+/// key. The tdv is decoded straight into the event.
+struct LineFields {
+  uint32_t seen = 0;  ///< keys met
+  uint32_t good = 0;  ///< ... whose first value had the field's shape
+  int64_t num[kNoField][3];
+  std::string_view kind, queue;
+  std::string kind_scratch, queue_scratch;  ///< only for escaped strings
+  bool fail = false;
+  const char* tdv_why = nullptr;  ///< the tdv's first problem, if any
+
+  bool has(Field f) const { return (good >> f) & 1u; }
+  int64_t get(Field f, int i = 0) const { return num[f][i]; }
+};
+
+/// The tdv value: [pid,inc,sii] triples set straight into `tdv`.
+bool read_tdv(JsonLexer& lx, int n, DepVector& tdv, LineFields& f) {
+  if (lx.peek() != '[') {
+    f.tdv_why = kTdvShape;
+    return lx.skip_value(1);
+  }
+  if (!lx.open('[', 1)) return false;
+  tdv = DepVector(n);
+  if (lx.eat(']')) return true;
+  bool more = false;
+  do {
+    int64_t v[3];
+    bool shaped = false;
+    if (!lx.int_array(2, v, 3, shaped)) return false;
+    if (f.tdv_why == nullptr) {
+      if (!shaped || !fits_i32(v[1])) {
+        f.tdv_why = "malformed tdv entry";
+      } else if (v[0] < 0 || v[0] >= n) {
+        f.tdv_why = "tdv entry pid out of range";
+      } else {
+        tdv.set(static_cast<ProcessId>(v[0]),
+                Entry{static_cast<Incarnation>(v[1]), v[2]});
+      }
     }
-    if (iv.pid < 0 || iv.pid >= n) {
-      why = "tdv entry pid out of range";
-      return false;
-    }
-    out.set(iv.pid, Entry{iv.inc, iv.sii});
+    if (!lx.next(']', more)) return false;
+  } while (more);
+  return true;
+}
+
+/// The first value of known field `k`. False only on a JSON syntax error.
+bool read_field(JsonLexer& lx, Field k, int n, LineFields& f,
+                ProtocolEvent& e) {
+  bool good = false;
+  const char c = lx.peek();
+  switch (k) {
+    case kKind:
+    case kQueue:
+      if (c != '"') return lx.skip_value(1);
+      if (!lx.string(k == kKind ? f.kind : f.queue,
+                     k == kKind ? f.kind_scratch : f.queue_scratch))
+        return false;
+      good = true;
+      break;
+    case kFail:
+      if (c != 't' && c != 'f') return lx.skip_value(1);
+      if (!lx.literal(c == 't' ? "true" : "false")) return false;
+      f.fail = c == 't';
+      good = true;
+      break;
+    case kTdv:
+      if (!read_tdv(lx, n, e.tdv, f)) return false;
+      good = f.tdv_why == nullptr;
+      break;
+    default:
+      if (!(arity(k) > 1 ? lx.int_array(1, f.num[k], arity(k), good)
+                         : lx.int_value(1, f.num[k][0], good)))
+        return false;
+  }
+  if (good) f.good |= 1u << k;
+  return true;
+}
+
+/// Walk one object line. False on a JSON syntax error (lx.error() says
+/// where), including trailing bytes after the object.
+bool walk_line(JsonLexer& lx, int n, LineFields& f, ProtocolEvent& e) {
+  if (!lx.open('{', 0)) return false;
+  if (!lx.eat('}')) {
+    std::string key_scratch;
+    bool more = false;
+    do {
+      std::string_view key;
+      if (!lx.string(key, key_scratch)) return false;
+      if (!lx.eat(':')) return lx.fail("expected ':'");
+      const Field k = field_named(key);
+      const bool first = k != kNoField && ((f.seen >> k) & 1u) == 0;
+      if (first) f.seen |= 1u << k;
+      if (!(first ? read_field(lx, k, n, f, e) : lx.skip_value(1)))
+        return false;
+      if (!lx.next('}', more)) return false;
+    } while (more);
   }
   return true;
 }
 
-/// Builds one event from a parsed line; returns false with `why` set on any
-/// schema violation.
-bool event_from_json(const JsonValue& obj, int n, ProtocolEvent& e,
-                     std::string& why) {
-  const JsonValue* kind_v = obj.find("kind");
-  if (!kind_v || kind_v->type != JsonValue::Type::kStr) {
+/// Checks an event line's fields against its kind's schema, in a fixed
+/// order so the first violation named is stable, and fills `e`. Returns
+/// false with `why` set on the first violation.
+bool event_from_fields(const LineFields& f, int n, ProtocolEvent& e,
+                       std::string& why) {
+  if (!f.has(kKind)) {
     why = "missing or non-string \"kind\"";
     return false;
   }
-  std::optional<EventKind> kind = event_kind_from_name(kind_v->str);
+  std::optional<EventKind> kind = event_kind_from_name(f.kind);
   if (!kind) {
-    why = "unknown event kind \"" + kind_v->str + "\"";
+    why = "unknown event kind \"" + std::string(f.kind) + "\"";
     return false;
   }
   e.kind = *kind;
+  auto bad = [&](Field k, const char* what) {
+    why = std::string(what) + " \"" + std::string(kFieldName[k]) + "\"";
+    return false;
+  };
+  if (!f.has(kT)) return bad(kT, "missing or malformed");
+  if (!f.has(kP) || f.get(kP) < 0 || f.get(kP) >= n)
+    return bad(kP, "missing or out-of-range");
+  if (!f.has(kSeq) || f.get(kSeq) < 0) return bad(kSeq, "missing or malformed");
+  if (!f.has(kAt) || !fits_i32(f.get(kAt))) return bad(kAt, "missing or malformed");
+  e.t = f.get(kT);
+  e.pid = static_cast<ProcessId>(f.get(kP));
+  e.seq = static_cast<uint64_t>(f.get(kSeq));
+  e.at = Entry{static_cast<Incarnation>(f.get(kAt)), f.get(kAt, 1)};
 
-  int64_t t = 0, p = 0, seq = 0;
-  if (!as_int64(obj.find("t"), t)) {
-    why = "missing or malformed \"t\"";
-    return false;
-  }
-  if (!as_int64(obj.find("p"), p) || p < 0 || p >= n) {
-    why = "missing or out-of-range \"p\"";
-    return false;
-  }
-  if (!as_int64(obj.find("seq"), seq) || seq < 0) {
-    why = "missing or malformed \"seq\"";
-    return false;
-  }
-  if (!as_entry(obj.find("at"), e.at)) {
-    why = "missing or malformed \"at\"";
-    return false;
-  }
-  e.t = t;
-  e.pid = static_cast<ProcessId>(p);
-  e.seq = static_cast<uint64_t>(seq);
+  bool keep_tdv = false;
+  auto need = [&](Field k) {
+    switch (k) {
+      case kMsg:
+        if (!f.has(kMsg) || !fits_i32(f.get(kMsg)))
+          return bad(kMsg, "missing or malformed");
+        e.msg = MsgId{static_cast<ProcessId>(f.get(kMsg)),
+                      static_cast<SeqNo>(f.get(kMsg, 1))};
+        return true;
+      case kPeer:
+        if (!f.has(kPeer) || f.get(kPeer) < -1 || f.get(kPeer) >= n)
+          return bad(kPeer, "missing or out-of-range");
+        e.peer = static_cast<ProcessId>(f.get(kPeer));
+        return true;
+      case kRef:
+        if (!f.has(kRef) || !fits_i32(f.get(kRef, 1)))
+          return bad(kRef, "missing or malformed");
+        if (f.get(kRef) != kEnvironment &&
+            (f.get(kRef) < 0 || f.get(kRef) >= n)) {
+          why = "\"ref\" pid out of range";
+          return false;
+        }
+        e.ref = IntervalId{static_cast<ProcessId>(f.get(kRef)),
+                           static_cast<Incarnation>(f.get(kRef, 1)),
+                           f.get(kRef, 2)};
+        return true;
+      case kTdv:
+        if (!f.has(kTdv)) {
+          why = ((f.seen >> kTdv) & 1u) ? f.tdv_why : kTdvShape;
+          return false;
+        }
+        keep_tdv = true;
+        return true;
+      case kQueue:
+        if (!f.has(kQueue) || (f.queue != "send" && f.queue != "recv")) {
+          why = "missing or malformed \"queue\" (want \"send\"|\"recv\")";
+          return false;
+        }
+        e.recv_side = f.queue == "recv";
+        return true;
+      case kFail:
+        if (!f.has(kFail)) return bad(kFail, "missing or non-boolean");
+        e.from_failure = f.fail;
+        return true;
+      case kEnded:
+        if (!f.has(kEnded) || !fits_i32(f.get(kEnded)))
+          return bad(kEnded, "missing or malformed");
+        e.ended = Entry{static_cast<Incarnation>(f.get(kEnded)),
+                        f.get(kEnded, 1)};
+        return true;
+      case kKlim:
+      case kKrea:
+        if (!f.has(k) || !fits_i32(f.get(k)))
+          return bad(k, "missing or malformed");
+        (k == kKlim ? e.k_limit : e.k_reached) = static_cast<int>(f.get(k));
+        return true;
+      default:  // kUndone, kLost (both the event's `undone`), kLsn
+        if (!f.has(k)) return bad(k, "missing or malformed");
+        (k == kLsn ? e.lsn : e.undone) = f.get(k);
+        return true;
+    }
+  };
 
-  auto need_msg = [&] {
-    if (as_msg(obj.find("msg"), e.msg)) return true;
-    why = "missing or malformed \"msg\"";
-    return false;
-  };
-  auto need_peer = [&] {
-    int64_t peer = 0;
-    if (!as_int64(obj.find("peer"), peer) || peer < -1 || peer >= n) {
-      why = "missing or out-of-range \"peer\"";
-      return false;
-    }
-    e.peer = static_cast<ProcessId>(peer);
-    return true;
-  };
-  auto need_ref = [&] {
-    if (!as_interval(obj.find("ref"), e.ref)) {
-      why = "missing or malformed \"ref\"";
-      return false;
-    }
-    if (e.ref.pid != kEnvironment && (e.ref.pid < 0 || e.ref.pid >= n)) {
-      why = "\"ref\" pid out of range";
-      return false;
-    }
-    return true;
-  };
-  auto need_tdv = [&] { return as_tdv(obj.find("tdv"), n, e.tdv, why); };
-  auto need_int = [&](const char* key, auto& out) {
-    int64_t v = 0;
-    if (!as_int64(obj.find(key), v)) {
-      why = std::string("missing or malformed \"") + key + "\"";
-      return false;
-    }
-    out = static_cast<std::remove_reference_t<decltype(out)>>(v);
-    return true;
-  };
-  auto need_ended = [&] {
-    if (as_entry(obj.find("ended"), e.ended)) return true;
-    why = "missing or malformed \"ended\"";
-    return false;
-  };
-
+  bool ok = false;
   switch (e.kind) {
     case EventKind::kSend:
-      return need_msg() && need_peer() && need_ref() && need_tdv() &&
-             need_int("klim", e.k_limit);
+      ok = need(kMsg) && need(kPeer) && need(kRef) && need(kTdv) &&
+           need(kKlim);
+      break;
     case EventKind::kDeliver:
-      return need_msg() && need_peer() && need_ref() && need_tdv();
-    case EventKind::kBufferHold: {
-      if (!need_msg() || !need_int("klim", e.k_limit) ||
-          !need_int("krea", e.k_reached))
-        return false;
-      const JsonValue* q = obj.find("queue");
-      if (!q || q->type != JsonValue::Type::kStr ||
-          (q->str != "send" && q->str != "recv")) {
-        why = "missing or malformed \"queue\" (want \"send\"|\"recv\")";
-        return false;
-      }
-      e.recv_side = q->str == "recv";
-      return true;
-    }
+      ok = need(kMsg) && need(kPeer) && need(kRef) && need(kTdv);
+      break;
+    case EventKind::kBufferHold:
+      ok = need(kMsg) && need(kKlim) && need(kKrea) && need(kQueue);
+      break;
     case EventKind::kBufferRelease:
-      return need_msg() && need_peer() && need_ref() && need_tdv() &&
-             need_int("klim", e.k_limit) && need_int("krea", e.k_reached);
+      ok = need(kMsg) && need(kPeer) && need(kRef) && need(kTdv) &&
+           need(kKlim) && need(kKrea);
+      break;
     case EventKind::kCheckpoint:
-      return need_tdv();
-    case EventKind::kFailureAnnounce: {
-      if (!need_ended()) return false;
-      const JsonValue* f = obj.find("fail");
-      if (!f || f->type != JsonValue::Type::kBool) {
-        why = "missing or non-boolean \"fail\"";
-        return false;
-      }
-      e.from_failure = f->b;
-      return true;
-    }
+      ok = need(kTdv);
+      break;
+    case EventKind::kFailureAnnounce:
+      ok = need(kEnded) && need(kFail);
+      break;
     case EventKind::kRollback:
-      return need_ended() && need_int("undone", e.undone);
+      ok = need(kEnded) && need(kUndone);
+      break;
     case EventKind::kOutputCommit:
-      return need_msg() && need_ref() && need_tdv();
+      ok = need(kMsg) && need(kRef) && need(kTdv);
+      break;
     case EventKind::kRetransmit:
-      return need_msg() && need_peer();
+      ok = need(kMsg) && need(kPeer);
+      break;
     case EventKind::kIncarnationBump:
-      return true;
+      ok = true;
+      break;
     case EventKind::kStorageFlush:
     case EventKind::kStorageRecover:
     case EventKind::kProgressNotify:
-      return need_int("lsn", e.lsn);
+      ok = need(kLsn);
+      break;
     case EventKind::kRecorderDrop:
-      return need_int("lost", e.undone);
+      ok = need(kLost);
+      break;
   }
-  why = "unhandled event kind";
-  return false;
+  // A tdv the kind does not carry was decoded on the way past; drop it so
+  // the event compares equal to the one that was written.
+  if (ok && !keep_tdv) e.tdv = DepVector();
+  return ok;
 }
 
 }  // namespace
@@ -409,10 +530,31 @@ bool event_from_json(const JsonValue& obj, int n, ProtocolEvent& e,
 Trace read_trace_jsonl(std::istream& is, std::vector<std::string>& errors) {
   Trace trace;
   StreamingTraceParser parser(
-      [&](const ProtocolEvent& e) { trace.events.push_back(e); });
+      [&](ProtocolEvent&& e) { trace.events.push_back(std::move(e)); });
+  // Bytes in the stream, when it can tell (a file or a string, not a pipe).
+  std::streamoff size = -1;
+  if (const std::streampos start = is.tellg(); start != std::streampos(-1)) {
+    if (is.seekg(0, std::ios::end)) size = is.tellg() - start;
+    is.clear();
+    is.seekg(start);
+  }
   char buf[1 << 16];
+  std::streamoff fed = 0;
+  bool sized = false;
   while (is.read(buf, sizeof buf), is.gcount() > 0) {
     parser.feed(std::string_view(buf, static_cast<size_t>(is.gcount())));
+    fed += is.gcount();
+    if (!sized && size > fed && !trace.events.empty()) {
+      // Size the event vector once, from the first chunk's bytes per event
+      // plus a margin: regrowing it would move every event again and touch
+      // up to three times its final memory.
+      sized = true;
+      const double per_event =
+          static_cast<double>(fed) / static_cast<double>(trace.events.size());
+      trace.events.reserve(
+          trace.events.size() +
+          static_cast<size_t>(static_cast<double>(size - fed) / per_event * 1.1));
+    }
   }
   // Strict: terminate the final line, so an unterminated fragment is parsed
   // (and, if torn, reported as "line N: ...") like any other line rather
@@ -440,60 +582,85 @@ void StreamingTraceParser::parse_line(std::string_view line) {
   auto err = [&](const std::string& what) {
     errors_.push_back("line " + std::to_string(lineno_) + ": " + what);
   };
-  JsonValue v;
-  std::string parse_err;
-  if (!JsonParser(line).parse(v, parse_err)) {
-    err(parse_err);
+  JsonLexer lx(line);
+  if (lx.peek() != '{') {
+    // Valid JSON of another type, or not JSON at all.
+    if (!lx.skip_value(0)) {
+      err(lx.error());
+    } else {
+      err(lx.at_end() ? "line is not a JSON object"
+                      : "trailing characters after JSON value");
+    }
     return;
   }
-  if (v.type != JsonValue::Type::kObj) {
-    err("line is not a JSON object");
+  LineFields f;
+  ProtocolEvent e;
+  if (!walk_line(lx, n_, f, e)) {
+    err(lx.error());
     return;
   }
-  if (is_health_line(v)) return;
+  if (!lx.at_end()) {
+    err("trailing characters after JSON value");
+    return;
+  }
+  const bool has_kind = f.has(kKind);
+  // Health sidecar lines (obs/health/health_io.h) may be interleaved with a
+  // trace when both are pointed at the same file; they are runtime
+  // telemetry, not protocol events, so the reader skips them silently.
+  if (has_kind && (f.kind == "health" || f.kind == "health_meta")) return;
   if (!have_meta_) {
-    const JsonValue* kind = v.find("kind");
-    if (!kind || kind->type != JsonValue::Type::kStr || kind->str != "meta") {
+    have_meta_ = true;
+    if (!has_kind || f.kind != "meta") {
       err("first line must be the meta header {\"kind\":\"meta\",...}");
       n_ = 1 << 20;  // keep parsing so later errors still surface
-      have_meta_ = true;
       return;
     }
-    int64_t version = 0, n = 0;
-    if (!as_int64(v.find("version"), version) || version != 1) {
+    if (!f.has(kVersion) || f.get(kVersion) != 1) {
       err("unsupported or missing trace version (want 1)");
     }
-    if (!as_int64(v.find("n"), n) || n < 1) {
+    int64_t n = f.has(kN) ? f.get(kN) : 0;
+    if (n < 1 || n > std::numeric_limits<int>::max()) {
       err("meta header missing a positive \"n\"");
       n = 1 << 20;
     }
     n_ = static_cast<int>(n);
-    have_meta_ = true;
     return;
   }
-  ProtocolEvent e;
   std::string why;
-  if (!event_from_json(v, n_, e, why)) {
+  if (!event_from_fields(f, n_, e, why)) {
     err(why);
     return;
   }
   ++events_parsed_;
-  if (on_event_) on_event_(e);
+  if (on_event_) on_event_(std::move(e));
 }
 
 void StreamingTraceParser::feed(std::string_view chunk) {
   if (finished_) return;
-  buf_.append(chunk.data(), chunk.size());
-  size_t start = 0;
-  for (size_t nl = buf_.find('\n', start); nl != std::string::npos;
-       nl = buf_.find('\n', start)) {
-    size_t len = nl - start;
+  auto parse_terminated = [&](std::string_view line) {
     // Tolerate CRLF writers.
-    if (len > 0 && buf_[start + len - 1] == '\r') --len;
-    parse_line(std::string_view(buf_).substr(start, len));
-    start = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    parse_line(line);
+  };
+  // Complete the line left over from the previous chunk, then parse whole
+  // lines in place; only a trailing fragment is copied into buf_.
+  if (!buf_.empty()) {
+    const size_t nl = chunk.find('\n');
+    if (nl == std::string_view::npos) {
+      buf_.append(chunk);
+      return;
+    }
+    buf_.append(chunk.substr(0, nl));
+    parse_terminated(buf_);
+    buf_.clear();
+    chunk.remove_prefix(nl + 1);
   }
-  buf_.erase(0, start);
+  for (size_t nl = chunk.find('\n'); nl != std::string_view::npos;
+       nl = chunk.find('\n')) {
+    parse_terminated(chunk.substr(0, nl));
+    chunk.remove_prefix(nl + 1);
+  }
+  buf_.assign(chunk);
 }
 
 void StreamingTraceParser::finish() {

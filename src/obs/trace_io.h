@@ -30,9 +30,20 @@
 //
 // The reader is strict: unknown kinds, missing required fields, malformed
 // encodings and out-of-range process ids are schema violations, reported
-// per line. Unknown *extra* fields are tolerated (schema evolution).
-// No external JSON dependency: the writer emits by hand, the reader is a
-// minimal recursive-descent parser sufficient for this schema.
+// per line. Unknown *extra* fields are tolerated (schema evolution); of a
+// duplicated key the first occurrence counts.
+//
+// No external JSON dependency. The writer appends each line into one
+// reused buffer with std::to_chars. The reader decodes the schema directly
+// in one left-to-right pass over each line, on the allocation-free lexer of
+// obs/json.h: keys are matched on their raw bytes, integers go straight
+// into int64_t (the whole token, range-checked: a digit loop up to 18
+// digits, std::from_chars beyond) and are then checked against the field's
+// own type, tdv triples go straight into the event's DepVector, and
+// unknown values are validated and skipped. It follows the lexer's strict
+// number grammar and its nesting bound (kJsonMaxDepth), so a hostile line
+// is a "line N: ..." error, never a crash. Nothing is allocated per event
+// beyond a DepVector that outgrows its inline slots.
 #pragma once
 
 #include <functional>
@@ -52,7 +63,9 @@ struct Trace {
   std::vector<ProtocolEvent> events;
 };
 
-/// Serialize one event as a single JSON line (no trailing newline).
+/// Append one event as a single JSON line (no trailing newline) to `out`.
+void append_event_json(std::string& out, const ProtocolEvent& e);
+/// The same line as a fresh string.
 std::string event_to_json(const ProtocolEvent& e);
 
 void write_trace_jsonl(int n, const std::vector<ProtocolEvent>& events,
@@ -85,7 +98,8 @@ std::string json_escape(std::string_view s);
 /// real violations.
 class StreamingTraceParser {
  public:
-  using EventFn = std::function<void(const ProtocolEvent&)>;
+  /// Receives each valid event; it may move from it.
+  using EventFn = std::function<void(ProtocolEvent&&)>;
 
   explicit StreamingTraceParser(EventFn on_event);
   ~StreamingTraceParser();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -315,6 +316,46 @@ RunResult run_threaded_uniform(int n, int shards, uint64_t seed, int k,
   r.tree_hops = cluster.stats().counter("announce.tree_hops");
   r.outputs = cluster.outputs().size();
   return r;
+}
+
+TEST(ThreadedClusterTest, RingModeMergedEqualsStableSort) {
+  // Recording::merged() is a k-way merge of the per-process streams; on a
+  // ring recording it merges each ring's residual window. It must equal one
+  // stable sort of the streams concatenated in pid order.
+  ClusterConfig cfg;
+  cfg.n = 6;
+  cfg.seed = 31;
+  cfg.protocol.k = 2;
+  cfg.record_events = true;
+  cfg.recording.mode = RecordMode::kRing;
+  cfg.recording.ring_capacity = 1 << 15;  // ample: nothing is dropped
+  ThreadedOptions opt;
+  opt.shards = 3;
+  opt.time_scale = kFastScale;
+  ThreadedCluster cluster(cfg, opt, make_uniform_app({}));
+  cluster.start();
+  const SimTime load_end = 300'000;
+  inject_uniform_load(cluster, 80, 1'000, load_end, /*ttl=*/6, cfg.seed + 1);
+  apply_failure_plan(cluster,
+                     FailurePlan::random(Rng(cfg.seed).fork("fail"), cfg.n, 2,
+                                         load_end / 10, load_end));
+  cluster.run_for(load_end);
+  cluster.drain();
+  cluster.shutdown();
+  const Recording& rec = *cluster.recording();
+  ASSERT_EQ(rec.mode(), RecordMode::kRing);
+  EXPECT_EQ(rec.total_dropped(), 0u);
+  std::vector<ProtocolEvent> reference;
+  for (ProcessId p = 0; p < rec.n(); ++p) rec.recorder(p).snapshot(reference);
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const ProtocolEvent& a, const ProtocolEvent& b) {
+                     if (a.t != b.t) return a.t < b.t;
+                     if (a.pid != b.pid) return a.pid < b.pid;
+                     return a.seq < b.seq;
+                   });
+  std::vector<ProtocolEvent> merged = rec.merged();
+  EXPECT_GT(merged.size(), 100u);
+  EXPECT_EQ(merged, reference);
 }
 
 TEST(ThreadedClusterTest, CleanRunAuditsOkOnOneShard) {
